@@ -52,7 +52,7 @@ remote_client::remote_client(const std::string& host, std::uint16_t port,
   reader_ = std::thread([this] { reader_loop(); });
   writer_ = std::thread([this] { writer_loop(); });
 
-  // Handshake: negotiate the protocol version, then open the session,
+  // Handshake: check the protocol version, then open the session,
   // both synchronously. On failure the destructor will not run, so
   // tear the half-built connection down here.
   try {
@@ -67,20 +67,17 @@ remote_client::remote_client(const std::string& host, std::uint16_t port,
 
 void remote_client::negotiate(double weight) {
   {
-    // The hello goes out at the floor version: a server that cannot
-    // parse our preferred framing can still read the offer and answer.
     auto reply = std::make_shared<net_message>();
-    send_request(hello_req{wire_version}, reply, wire_version_min).get();
+    send_request(hello_req{}, reply).get();
     const auto* hello = std::get_if<hello_resp>(reply.get());
     if (hello == nullptr) {
       throw std::runtime_error("remote_client: unexpected hello response");
     }
-    if (hello->version < wire_version_min || hello->version > wire_version) {
+    if (hello->version != wire_version) {
       throw std::runtime_error(
-          "remote_client: server negotiated unsupported version " +
+          "remote_client: server speaks unsupported version " +
           std::to_string(hello->version));
     }
-    version_ = hello->version;
   }
   auto reply = std::make_shared<net_message>();
   open_session_req req;
@@ -120,8 +117,7 @@ remote_client::~remote_client() {
 }
 
 service::request_future remote_client::send_request(
-    const net_message& msg, std::shared_ptr<net_message> reply,
-    std::uint8_t version) {
+    const net_message& msg, std::shared_ptr<net_message> reply) {
   auto state = std::make_shared<service::request_state>();
   service::request_future future(state);
   // Request ids come from the process-wide flow counter (never zero,
@@ -135,8 +131,7 @@ service::request_future remote_client::send_request(
     state->flow = id;
     obs::emit_flow_begin(id, "request", "client");
   }
-  std::vector<std::uint8_t> frame =
-      encode_frame(id, msg, version == 0 ? version_ : version);
+  std::vector<std::uint8_t> frame = encode_frame(id, msg);
   static std::atomic<std::uint64_t>& tx_bytes =
       obs::metrics_registry::instance().counter("net.client.tx_bytes");
   tx_bytes.fetch_add(frame.size(), std::memory_order_relaxed);
@@ -385,7 +380,7 @@ void remote_client::watch_stats(
   // live in pending_ (the first push would pop it and orphan the
   // rest). The frame goes straight onto the outbox.
   const std::uint64_t id = obs::new_flow();
-  std::vector<std::uint8_t> frame = encode_frame(id, req, version_);
+  std::vector<std::uint8_t> frame = encode_frame(id, req);
   static std::atomic<std::uint64_t>& tx_bytes =
       obs::metrics_registry::instance().counter("net.client.tx_bytes");
   tx_bytes.fetch_add(frame.size(), std::memory_order_relaxed);
@@ -405,7 +400,7 @@ void remote_client::unwatch_stats() {
   watch_stats_req req;
   req.interval_ms = 0;  // cancel
   const std::uint64_t id = obs::new_flow();
-  std::vector<std::uint8_t> frame = encode_frame(id, req, version_);
+  std::vector<std::uint8_t> frame = encode_frame(id, req);
   std::unique_lock<std::mutex> lock(mu_);
   if (watch_cb_ == nullptr) return;  // no active watch
   if (send_failed_ || closing_) {

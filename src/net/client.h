@@ -1,8 +1,8 @@
 // remote_client: the out-of-process counterpart of service_client.
 //
-// Connects to a pim_server, negotiates the protocol version (hello
-// exchange: the client offers its highest version, the server answers
-// the agreed one), opens one session, and implements
+// Connects to a pim_server, checks the protocol version (hello
+// exchange: the client offers its version, the server answers its
+// own), opens one session, and implements
 // service::client_api over the wire protocol — so any workload written
 // against client_api (the examples, the synthetic fleets) runs
 // unchanged over a socket. Requests are pipelined: submit_bulk/
@@ -108,9 +108,6 @@ class remote_client final : public service::client_api {
   /// Connection-level close of this client's session on the server.
   void close_session();
 
-  /// The protocol version the hello exchange agreed on.
-  std::uint8_t negotiated_version() const { return version_; }
-
  private:
   struct pending_entry {
     std::shared_ptr<service::request_state> state;
@@ -120,12 +117,9 @@ class remote_client final : public service::client_api {
   };
 
   /// Registers a pending id, enqueues the frame on the outbox, returns
-  /// the future. `version` overrides the frame's protocol version (the
-  /// hello itself goes out at wire_version_min so any compatible
-  /// server can parse it).
+  /// the future.
   service::request_future send_request(const net_message& msg,
-                                       std::shared_ptr<net_message> reply,
-                                       std::uint8_t version = 0);
+                                       std::shared_ptr<net_message> reply);
   void negotiate(double weight);
   std::uint64_t trace_ctl(std::uint8_t action, const std::string& path,
                           std::string* json);
@@ -137,7 +131,6 @@ class remote_client final : public service::client_api {
   int fd_ = -1;
   service::session_id session_ = 0;
   int shard_ = -1;
-  std::uint8_t version_ = wire_version;
 
   std::mutex mu_;  // pending_, outbox_, and the connection flags
   std::condition_variable out_cv_;

@@ -63,38 +63,17 @@ void put_shared(std::vector<std::uint8_t>& out,
   put_vector(out, sv.v);
 }
 
-void put_report(std::vector<std::uint8_t>& out, const runtime::task_report& r,
-                std::uint8_t version) {
-  put_u64(out, r.id);
-  put_i32(out, r.stream);
-  put_u8(out, static_cast<std::uint8_t>(r.kind));
-  put_u8(out, static_cast<std::uint8_t>(r.where));
-  put_i64(out, r.submit_ps);
-  put_i64(out, r.start_ps);
-  put_i64(out, r.complete_ps);
-  put_u64(out, r.output_bytes);
-  put_i32(out, r.channel);
-  put_i32(out, r.bank);
-  if (version >= 3) {
-    // v3: the live energy meter's per-task charge and moved-bytes
-    // ledger ride the report, so remote sessions fold the same energy
-    // attribution as in-process ones.
-    put_u64(out, r.energy_fj);
-    put_u64(out, r.insitu_bytes);
-    put_u64(out, r.offchip_bytes);
-    put_u64(out, r.wire_bytes);
-  }
-  if (version >= 4) {
-    // v4: wait-state attribution — the admit/release stamps that
-    // split the old queue wait into admission/hazard/bank segments,
-    // the release edge (blocking task + row) the critical-path
-    // analyzer walks, and the wire-hop execution flag.
-    put_i64(out, r.admit_ps);
-    put_i64(out, r.release_ps);
-    put_u64(out, r.blocked_on);
-    put_u64(out, r.blocked_row);
-    put_u8(out, r.wire_hop ? 1 : 0);
-  }
+void put_report(std::vector<std::uint8_t>& out, const runtime::task_report& r) {
+  runtime::for_each_wire_field(r, [&out](const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+      put_u8(out, static_cast<std::uint8_t>(field));
+    } else if constexpr (sizeof(T) == 4) {
+      put_u32(out, static_cast<std::uint32_t>(field));
+    } else {
+      put_u64(out, static_cast<std::uint64_t>(field));
+    }
+  });
 }
 
 // --- primitive decoding (bounds-checked against the frame) -----------------
@@ -103,10 +82,6 @@ struct reader {
   const std::uint8_t* p = nullptr;
   std::size_t size = 0;
   std::size_t pos = 0;
-  /// The frame's negotiated version, set by frame_splitter::next()
-  /// before the body decodes — version-gated fields (task-report
-  /// energy, v3+) key off it.
-  std::uint8_t version = wire_version;
 
   void need(std::size_t n) const {
     if (pos + n > size) throw protocol_error("truncated frame body");
@@ -180,47 +155,44 @@ struct reader {
     return sv;
   }
 
+  /// One byte naming an enumerator no later than `last`.
+  template <typename E>
+  E enum_u8(E last, const char* what) {
+    const std::uint8_t raw = u8();
+    if (raw > static_cast<std::uint8_t>(last)) {
+      throw protocol_error(std::string("unknown ") + what);
+    }
+    return static_cast<E>(raw);
+  }
+
   runtime::task_report report() {
     runtime::task_report r;
-    r.id = u64();
-    r.stream = i32();
-    r.kind = static_cast<runtime::task_kind>(u8());
-    r.where = static_cast<runtime::backend_kind>(u8());
-    r.submit_ps = i64();
-    r.start_ps = i64();
-    r.complete_ps = i64();
-    r.output_bytes = u64();
-    r.channel = i32();
-    r.bank = i32();
-    if (version >= 3) {
-      r.energy_fj = u64();
-      r.insitu_bytes = u64();
-      r.offchip_bytes = u64();
-      r.wire_bytes = u64();
-    }
-    if (version >= 4) {
-      r.admit_ps = i64();
-      r.release_ps = i64();
-      r.blocked_on = u64();
-      r.blocked_row = u64();
-      r.wire_hop = u8() != 0;
+    runtime::for_each_wire_field(r, [this](auto& field) {
+      using T = std::remove_reference_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, runtime::task_kind>) {
+        field = enum_u8(runtime::task_kind::host_kernel, "task kind");
+      } else if constexpr (std::is_same_v<T, runtime::backend_kind>) {
+        field = enum_u8(runtime::backend_kind::host, "backend");
+      } else if constexpr (std::is_same_v<T, bool>) {
+        field = u8() != 0;
+      } else if constexpr (sizeof(T) == 4) {
+        field = static_cast<T>(u32());
+      } else {
+        field = static_cast<T>(u64());
+      }
+    });
+    if (!r.telescopes()) {
+      throw protocol_error("task report stamps do not telescope");
     }
     return r;
   }
 
-  dram::bulk_op op() {
-    const std::uint8_t raw = u8();
-    if (raw > static_cast<std::uint8_t>(dram::bulk_op::xnor_op)) {
-      throw protocol_error("unknown bulk op");
-    }
-    return static_cast<dram::bulk_op>(raw);
-  }
+  dram::bulk_op op() { return enum_u8(dram::bulk_op::xnor_op, "bulk op"); }
 };
 
-void encode_body(std::vector<std::uint8_t>& out, const net_message& msg,
-                 std::uint8_t version) {
+void encode_body(std::vector<std::uint8_t>& out, const net_message& msg) {
   std::visit(
-      [&out, version](const auto& m) {
+      [&out](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, open_session_req>) {
           put_f64(out, m.weight);
@@ -302,7 +274,7 @@ void encode_body(std::vector<std::uint8_t>& out, const net_message& msg,
         } else if constexpr (std::is_same_v<T, data_resp>) {
           put_bitvector(out, m.data);
         } else if constexpr (std::is_same_v<T, done_resp>) {
-          put_report(out, m.report, version);
+          put_report(out, m.report);
         } else if constexpr (std::is_same_v<T, stats_resp>) {
           put_string(out, m.json);
         } else if constexpr (std::is_same_v<T, error_resp>) {
@@ -492,13 +464,12 @@ opcode opcode_of(const net_message& msg) {
 }
 
 std::vector<std::uint8_t> encode_frame(std::uint64_t id,
-                                       const net_message& msg,
-                                       std::uint8_t version) {
+                                       const net_message& msg) {
   std::vector<std::uint8_t> payload;
-  put_u8(payload, version);
+  put_u8(payload, wire_version);
   put_u64(payload, id);
   put_u8(payload, static_cast<std::uint8_t>(opcode_of(msg)));
-  encode_body(payload, msg, version);
+  encode_body(payload, msg);
   if (payload.size() > max_frame_bytes) {
     throw protocol_error("frame exceeds max_frame_bytes");
   }
@@ -537,15 +508,11 @@ std::optional<net_frame> frame_splitter::next() {
   reader in{buf_.data() + pos_ + 8, length, 0};
   pos_ += 8 + length;
 
-  const std::uint8_t version = in.u8();
-  if (version < wire_version_min || version > wire_version) {
-    throw protocol_error("unsupported version");
-  }
+  if (in.u8() != wire_version) throw protocol_error("unsupported version");
   net_frame frame;
   frame.id = in.u64();
   last_id_ = frame.id;
   const std::uint8_t raw_op = in.u8();
-  in.version = version;
   frame.msg = decode_body(static_cast<opcode>(raw_op), in);
   if (in.pos != in.size) throw protocol_error("trailing bytes in frame");
   return frame;

@@ -23,7 +23,8 @@
 // encode_frame/frame_splitter round-trip on plain byte buffers with no
 // socket involved — which is how the framing tests exercise every
 // message type and every malformed-input path (bad magic, oversized
-// length, truncated body, unknown opcode) deterministically.
+// length, wrong version, truncated body, unknown opcode or enum, task
+// report stamps that do not telescope) deterministically.
 #ifndef PIM_NET_PROTOCOL_H
 #define PIM_NET_PROTOCOL_H
 
@@ -40,19 +41,11 @@
 namespace pim::net {
 
 inline constexpr std::uint32_t wire_magic = 0x50494D31;  // "1MIP" on the wire
-/// Highest protocol version this build speaks. Version 2 added the
-/// hello negotiation exchange; version 3 appends the energy charge and
-/// moved-bytes ledger to task reports (done frames); version 4 appends
-/// the wait-state attribution fields (admit/release stamps, the
-/// blocking task/row release edge, the wire-hop flag) the critical-
-/// path analyzer consumes. Encoders omit each tail at negotiated
-/// versions below its floor, so older peers see the exact old grammar
-/// and simply report zeros.
+/// The one protocol version this build speaks and parses: every frame
+/// carries it, and a frame stamped with any other version is a
+/// protocol error. A done frame's task report is the field list of
+/// runtime::for_each_wire_field.
 inline constexpr std::uint8_t wire_version = 4;
-/// Oldest version still parseable. A peer whose highest version is
-/// below this floor is a major-version mismatch: the server answers a
-/// clean error frame and closes.
-inline constexpr std::uint8_t wire_version_min = 1;
 /// Upper bound on one frame's payload: comfortably above any realistic
 /// bulk vector, far below anything that could exhaust server memory.
 inline constexpr std::uint32_t max_frame_bytes = 1u << 26;  // 64 MiB
@@ -149,14 +142,11 @@ struct wait_req {};
 
 struct stats_req {};
 
-/// Version negotiation, sent by the client as its first frame (and
-/// encoded at wire_version_min so any compatible server can parse
-/// it): "the highest version I speak". The server answers hello_resp
-/// with the agreed version — min(client max, server max) — and both
-/// sides frame at that version from then on. A client max below the
-/// server's wire_version_min is a major-version mismatch: the server
-/// answers an error frame and closes the connection. Clients that
-/// skip the exchange are framed at the server's current version.
+/// Version check, sent by the client as its first frame: "the highest
+/// version I speak". The server answers hello_resp with wire_version.
+/// A client max below wire_version is a mismatch: the server answers
+/// one error frame and closes the connection. Clients that skip the
+/// exchange are framed at wire_version like everyone else.
 struct hello_req {
   std::uint8_t max_version = wire_version;
 };
@@ -223,7 +213,7 @@ struct error_resp {
   std::string message;
 };
 
-/// The version both sides agreed to frame at.
+/// The version the server frames at (always wire_version).
 struct hello_resp {
   std::uint8_t version = wire_version;
 };
@@ -283,10 +273,9 @@ struct net_frame {
 };
 
 /// Serializes a complete frame (header + payload) for `msg` under
-/// request id `id`, stamping the given (negotiated) protocol version.
+/// request id `id`.
 std::vector<std::uint8_t> encode_frame(std::uint64_t id,
-                                       const net_message& msg,
-                                       std::uint8_t version = wire_version);
+                                       const net_message& msg);
 
 /// Incremental frame decoder over a byte stream. Feed whatever the
 /// socket produced; next() pops complete frames one at a time,

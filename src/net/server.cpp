@@ -50,14 +50,6 @@ struct connection_demux {
   std::condition_variable cv;
   bool closing = false;
 
-  /// Protocol version frames leave this connection with. Starts at the
-  /// floor — a client that never sends hello is, by definition, older
-  /// than the hello opcode, and the floor is the one version every
-  /// supported peer parses — and is raised to the agreed version by
-  /// the client's hello. Written by the reader (before any response
-  /// that follows the hello), read by both threads under `mu`.
-  std::uint8_t version = wire_version_min;
-
   /// Encoded frames awaiting the writer thread (responses built on the
   /// reader thread for synchronous calls, by the writer for async
   /// completions).
@@ -202,12 +194,7 @@ namespace {
 
 void enqueue_frame(connection_demux& dx, std::uint64_t id,
                    const net_message& msg) {
-  std::uint8_t version;
-  {
-    std::lock_guard<std::mutex> lock(dx.mu);
-    version = dx.version;
-  }
-  std::vector<std::uint8_t> frame = encode_frame(id, msg, version);
+  std::vector<std::uint8_t> frame = encode_frame(id, msg);
   {
     std::lock_guard<std::mutex> lock(dx.mu);
     dx.outgoing.push_back(std::move(frame));
@@ -257,20 +244,10 @@ stats_push_resp build_stats_push(service::pim_service& svc,
   snap.counters["service.requests_failed"] = st.requests_failed;
   snap.counters["service.output_bytes"] = st.output_bytes;
   snap.counters["service.tasks_submitted"] = st.tasks_submitted;
-  snap.counters["service.total_ticks"] = st.total_ticks;
-  snap.counters["service.busy_bank_ticks"] = st.busy_bank_ticks;
-  snap.counters["service.energy_pj"] = st.energy_fj / 1000;
-  snap.counters["service.moved_bytes_insitu"] = st.moved_insitu_bytes;
-  snap.counters["service.moved_bytes_offchip"] = st.moved_offchip_bytes;
-  snap.counters["service.moved_bytes_wire"] = st.moved_wire_bytes;
-  // Wait-state attribution: the five classes partition task_lifetime
-  // exactly, so a watcher can render shares without a remainder.
-  snap.counters["service.wait_admission_ps"] = st.wait_admission_ps;
-  snap.counters["service.wait_hazard_ps"] = st.wait_hazard_ps;
-  snap.counters["service.wait_bank_ps"] = st.wait_bank_ps;
-  snap.counters["service.exec_ps"] = st.wait_exec_ps;
-  snap.counters["service.wire_ps"] = st.wait_wire_ps;
-  snap.counters["service.task_lifetime_ps"] = st.wait_lifetime_ps;
+  for (const service::sched_meter& m : service::sched_meters) {
+    snap.counters[std::string("service.") + m.name] =
+        service::shown_value(m, st.*m.total);
+  }
   snap.counters["service.slow_requests_observed"] =
       obs::slow_request_log::instance().observed();
   snap.gauges["service.sessions"] = st.sessions;
@@ -380,12 +357,11 @@ void writer_loop(int fd, std::shared_ptr<connection_demux> dx,
         std::chrono::steady_clock::now() >= next_push) {
       const std::uint64_t watch_id = dx->watch_id;
       const bool final_push = dx->watch_cancel;
-      const std::uint8_t version = dx->version;
       const auto interval = std::chrono::milliseconds(dx->watch_interval_ms);
       lock.unlock();
       stats_push_resp push = build_stats_push(*svc, baseline, seq, final_push);
       std::vector<std::uint8_t> frame =
-          encode_frame(watch_id, std::move(push), version);
+          encode_frame(watch_id, std::move(push));
       lock.lock();
       // A new watch may have replaced this one while the snapshot was
       // being built; its own epoch turn will acknowledge it.
@@ -409,17 +385,15 @@ void writer_loop(int fd, std::shared_ptr<connection_demux> dx,
       if (it == dx->inflight.end()) continue;  // answered by an error path
       connection_demux::pending p = std::move(it->second);
       dx->inflight.erase(it);
-      const std::uint8_t version = dx->version;
       lock.unlock();
-      std::vector<std::uint8_t> frame =
-          encode_frame(id, build_response(p), version);
+      std::vector<std::uint8_t> frame = encode_frame(id, build_response(p));
       lock.lock();
       dx->outgoing.push_back(std::move(frame));
     }
     // A drained pipeline releases parked wait barriers.
     if (dx->inflight.empty() && !dx->waiting.empty()) {
       for (const std::uint64_t id : dx->waiting) {
-        dx->outgoing.push_back(encode_frame(id, waited_resp{}, dx->version));
+        dx->outgoing.push_back(encode_frame(id, waited_resp{}));
       }
       dx->waiting.clear();
     }
@@ -594,23 +568,16 @@ void pim_server::accept_loop(const int listen_fd) {
                   }
                   if (drained) enqueue_frame(*dx, id, waited_resp{});
                 } else if constexpr (std::is_same_v<T, hello_req>) {
-                  // Version negotiation. A client whose highest
-                  // version predates our floor is a major-version
-                  // mismatch: protocol_error sends one clean error
-                  // frame and closes this connection.
-                  if (m.max_version < wire_version_min) {
+                  // A client that cannot speak our version gets one
+                  // clean error frame (protocol_error closes this
+                  // connection).
+                  if (m.max_version < wire_version) {
                     throw protocol_error(
                         "incompatible protocol version: client max " +
-                        std::to_string(m.max_version) + " below server min " +
-                        std::to_string(wire_version_min));
+                        std::to_string(m.max_version) + " below server " +
+                        std::to_string(wire_version));
                   }
-                  const std::uint8_t agreed =
-                      std::min(wire_version, m.max_version);
-                  {
-                    std::lock_guard<std::mutex> l(dx->mu);
-                    dx->version = agreed;
-                  }
-                  enqueue_frame(*dx, id, hello_resp{agreed});
+                  enqueue_frame(*dx, id, hello_resp{});
                 } else if constexpr (std::is_same_v<T, stats_req>) {
                   json_writer json;
                   json.begin_object();

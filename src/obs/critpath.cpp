@@ -8,28 +8,15 @@ namespace pim::obs {
 
 namespace {
 
-/// Clamped stamps: samples from traces or pre-v4 wire peers carry
-/// zero admit/release, which must read as "no admission wait, hazard
-/// wait unknown" — the same telescoping repair fold_samples applies.
-std::int64_t clamped_admit(const sim_op_sample& s) {
-  return s.admit_ps > 0 && s.admit_ps <= s.submit_ps ? s.admit_ps
-                                                     : s.submit_ps;
-}
-
-std::int64_t clamped_release(const sim_op_sample& s) {
-  return s.release_ps >= s.submit_ps && s.release_ps <= s.start_ps
-             ? s.release_ps
-             : s.start_ps;
-}
-
 /// (group, id) -> sample index. Task ids are per-scheduler, so hazard
 /// edges never cross groups; chaining must not either.
 std::map<std::pair<int, std::uint64_t>, std::size_t> index_samples(
     const std::vector<sim_op_sample>& samples) {
   std::map<std::pair<int, std::uint64_t>, std::size_t> by_id;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i].id != 0) {
-      by_id.emplace(std::make_pair(samples[i].group, samples[i].id), i);
+    const sim_op_sample& s = samples[i];
+    if (s.report.id != 0) {
+      by_id.emplace(std::make_pair(s.group, s.report.id), i);
     }
   }
   return by_id;
@@ -43,11 +30,12 @@ const sim_op_sample* edge_blocker(
     const std::vector<sim_op_sample>& samples,
     const std::map<std::pair<int, std::uint64_t>, std::size_t>& by_id,
     const sim_op_sample& s) {
-  if (s.blocked_on == 0) return nullptr;
-  const auto it = by_id.find({s.group, s.blocked_on});
+  if (s.report.blocked_on == 0) return nullptr;
+  const auto it = by_id.find({s.group, s.report.blocked_on});
   if (it == by_id.end()) return nullptr;
   const sim_op_sample& blocker = samples[it->second];
-  return blocker.complete_ps == clamped_release(s) ? &blocker : nullptr;
+  return blocker.report.complete_ps == s.report.release_ps ? &blocker
+                                                           : nullptr;
 }
 
 void add_segment(critpath_report& r, wait_state state,
@@ -56,13 +44,13 @@ void add_segment(critpath_report& r, wait_state state,
   if (to <= from) return;  // zero-length states leave no slice
   path_segment seg;
   seg.state = state;
-  seg.task = s.id;
+  seg.task = s.report.id;
   seg.op = s.op;
   seg.from_ps = from;
   seg.to_ps = to;
   if (state == wait_state::hazard_blocked) {
-    seg.blocked_on = s.blocked_on;
-    seg.blocked_row = s.blocked_row;
+    seg.blocked_on = s.report.blocked_on;
+    seg.blocked_row = s.report.blocked_row;
   }
   r.segments.push_back(seg);
   r.state_ps[static_cast<int>(state)] +=
@@ -135,15 +123,15 @@ critpath_report analyze(const std::vector<sim_op_sample>& samples) {
   // (group, id), so any permutation of the input analyzes
   // identically).
   const sim_op_sample* last = &samples.front();
-  r.window_start_ps = clamped_admit(samples.front());
-  r.window_end_ps = samples.front().complete_ps;
+  r.window_start_ps = samples.front().report.admit_ps;
+  r.window_end_ps = samples.front().report.complete_ps;
   for (const sim_op_sample& s : samples) {
-    r.window_start_ps = std::min(r.window_start_ps, clamped_admit(s));
-    r.window_end_ps = std::max(r.window_end_ps, s.complete_ps);
-    if (s.complete_ps > last->complete_ps ||
-        (s.complete_ps == last->complete_ps &&
-         std::make_pair(s.group, s.id) <
-             std::make_pair(last->group, last->id))) {
+    r.window_start_ps = std::min(r.window_start_ps, s.report.admit_ps);
+    r.window_end_ps = std::max(r.window_end_ps, s.report.complete_ps);
+    if (s.report.complete_ps > last->report.complete_ps ||
+        (s.report.complete_ps == last->report.complete_ps &&
+         std::make_pair(s.group, s.report.id) <
+             std::make_pair(last->group, last->report.id))) {
       last = &s;
     }
   }
@@ -165,23 +153,21 @@ critpath_report analyze(const std::vector<sim_op_sample>& samples) {
   // set — e.g. another request — and is genuine path wait). Every
   // later hop starts at its release instant: the time before that is
   // the blocker's, already on the path.
-  const sim_op_sample& root = *chain.front();
-  r.path_start_ps = clamped_admit(root);
-  r.path_end_ps = last->complete_ps;
+  r.path_start_ps = chain.front()->report.admit_ps;
+  r.path_end_ps = last->report.complete_ps;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const sim_op_sample& s = *chain[i];
-    r.tasks.push_back(s.id);
+    const runtime::task_report& t = s.report;
+    r.tasks.push_back(t.id);
     if (i == 0) {
-      add_segment(r, wait_state::admission_queued, s, clamped_admit(s),
-                  s.submit_ps);
-      add_segment(r, wait_state::hazard_blocked, s, s.submit_ps,
-                  clamped_release(s));
+      add_segment(r, wait_state::admission_queued, s, t.admit_ps,
+                  t.submit_ps);
+      add_segment(r, wait_state::hazard_blocked, s, t.submit_ps,
+                  t.release_ps);
     }
-    add_segment(r, wait_state::bank_busy, s, clamped_release(s),
-                s.start_ps);
-    add_segment(
-        r, s.wire_hop ? wait_state::wire : wait_state::executing, s,
-        s.start_ps, s.complete_ps);
+    add_segment(r, wait_state::bank_busy, s, t.release_ps, t.start_ps);
+    add_segment(r, t.wire_hop ? wait_state::wire : wait_state::executing,
+                s, t.start_ps, t.complete_ps);
   }
 
   // Exactness: the typed slices must tile [path_start, path_end] —
@@ -214,42 +200,39 @@ std::int64_t project(const std::vector<sim_op_sample>& samples,
   std::vector<std::size_t> order(samples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::make_pair(samples[a].group, samples[a].id) <
-           std::make_pair(samples[b].group, samples[b].id);
+    return std::make_pair(samples[a].group, samples[a].report.id) <
+           std::make_pair(samples[b].group, samples[b].report.id);
   });
 
   std::vector<std::int64_t> projected(samples.size(), 0);
-  std::int64_t window_start = clamped_admit(samples.front());
+  std::int64_t window_start = samples.front().report.admit_ps;
   std::int64_t best = 0;
   for (const sim_op_sample& s : samples) {
-    window_start = std::min(window_start, clamped_admit(s));
+    window_start = std::min(window_start, s.report.admit_ps);
   }
   for (std::size_t i : order) {
     const sim_op_sample& s = samples[i];
-    const std::int64_t admit = clamped_admit(s);
-    const std::int64_t release = clamped_release(s);
+    const runtime::task_report::segments seg = s.report.lifetime();
     const std::int64_t admission =
-        zeroed == wait_state::admission_queued ? 0 : s.submit_ps - admit;
-    const std::int64_t ready = admit + admission;
+        zeroed == wait_state::admission_queued ? 0 : seg.admission;
+    const std::int64_t ready = s.report.admit_ps + admission;
     std::int64_t proj_release;
     const sim_op_sample* blocker = edge_blocker(samples, by_id, s);
     if (zeroed == wait_state::hazard_blocked) {
       proj_release = ready;
     } else if (blocker != nullptr) {
-      const auto it = by_id.find({s.group, s.blocked_on});
+      const auto it = by_id.find({s.group, s.report.blocked_on});
       proj_release = std::max(ready, projected[it->second]);
     } else {
       // No resolvable edge: keep the measured hazard wait as an
       // opaque duration (it cannot shrink without knowing the
       // blocker, and keeping it preserves the identity replay).
-      proj_release = ready + (release - s.submit_ps);
+      proj_release = ready + seg.hazard;
     }
-    const std::int64_t bank =
-        zeroed == wait_state::bank_busy ? 0 : s.start_ps - release;
-    const wait_state exec_class =
-        s.wire_hop ? wait_state::wire : wait_state::executing;
+    const std::int64_t bank = zeroed == wait_state::bank_busy ? 0 : seg.bank;
     const std::int64_t exec =
-        zeroed == exec_class ? 0 : s.complete_ps - s.start_ps;
+        (zeroed == wait_state::executing ? 0 : seg.exec) +
+        (zeroed == wait_state::wire ? 0 : seg.wire);
     projected[i] = proj_release + bank + exec;
     best = std::max(best, projected[i] - window_start);
   }

@@ -1,8 +1,6 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "common/json_writer.h"
 
@@ -29,8 +27,8 @@ struct blame_key {
 
 void charge(tick_profile& p, const sim_op_sample& s, std::uint64_t ticks) {
   p.by_op[s.op].attributed_ticks += ticks;
-  p.by_backend[s.backend].attributed_ticks += ticks;
-  p.by_lane[{s.channel, s.bank}].attributed_ticks += ticks;
+  p.by_backend[static_cast<int>(s.report.where)].attributed_ticks += ticks;
+  p.by_lane[{s.report.channel, s.report.bank}].attributed_ticks += ticks;
   p.total_attributed_ticks += ticks;
 }
 
@@ -42,53 +40,40 @@ tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
   p.tick_ps = tick_ps;
   if (tick_ps <= 0) return p;
 
-  // Per-task sums, independent of overlap. Clamp the wait-state
-  // stamps onto the telescoping invariant (admit <= submit <= release
-  // <= start): samples rebuilt from traces or pre-v4 wire peers carry
-  // zeros, which must fold as "no admission wait, hazard wait unknown
-  // -> start" rather than as garbage segments.
+  // Per-task sums, independent of overlap.
+  const auto to_ticks = [tick_ps](std::int64_t ps) {
+    return static_cast<std::uint64_t>(ps / tick_ps);
+  };
   for (const sim_op_sample& s : samples) {
-    const std::int64_t admit =
-        s.admit_ps > 0 && s.admit_ps <= s.submit_ps ? s.admit_ps : s.submit_ps;
-    const std::int64_t release =
-        s.release_ps >= s.submit_ps && s.release_ps <= s.start_ps
-            ? s.release_ps
-            : s.start_ps;
-    const std::uint64_t admission =
-        static_cast<std::uint64_t>((s.submit_ps - admit) / tick_ps);
-    const std::uint64_t blocked =
-        static_cast<std::uint64_t>((release - s.submit_ps) / tick_ps);
-    const std::uint64_t bank = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, s.start_ps - release) / tick_ps);
-    const std::uint64_t exec = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, s.complete_ps - s.start_ps) / tick_ps);
-    for (op_cost* c : {&p.by_op[s.op], &p.by_backend[s.backend],
-                       &p.by_lane[{s.channel, s.bank}]}) {
+    const runtime::task_report& r = s.report;
+    const runtime::task_report::segments seg = r.lifetime();
+    for (op_cost* c :
+         {&p.by_op[s.op], &p.by_backend[static_cast<int>(r.where)],
+          &p.by_lane[{r.channel, r.bank}]}) {
       c->tasks += 1;
-      c->bytes += s.output_bytes;
-      c->queue_ticks += admission + blocked + bank;
-      c->admission_ticks += admission;
-      c->blocked_ticks += blocked;
-      c->bank_ticks += bank;
-      c->exec_ticks += exec;
-      if (s.wire_hop) c->wire_ticks += exec;
-      c->energy_fj += s.energy_fj;
-      c->insitu_bytes += s.insitu_bytes;
-      c->offchip_bytes += s.offchip_bytes;
-      c->wire_bytes += s.wire_bytes;
+      c->bytes += r.output_bytes;
+      c->admission_ticks += to_ticks(seg.admission);
+      c->blocked_ticks += to_ticks(seg.hazard);
+      c->bank_ticks += to_ticks(seg.bank);
+      c->exec_ticks += to_ticks(seg.exec + seg.wire);
+      c->wire_ticks += to_ticks(seg.wire);
+      c->energy_fj += r.energy_fj;
+      c->insitu_bytes += r.insitu_bytes;
+      c->offchip_bytes += r.offchip_bytes;
+      c->wire_bytes += r.wire_bytes;
     }
     p.total_tasks += 1;
-    p.total_bytes += s.output_bytes;
-    p.total_energy_fj += s.energy_fj;
-    p.total_insitu_bytes += s.insitu_bytes;
-    p.total_offchip_bytes += s.offchip_bytes;
-    p.total_wire_bytes += s.wire_bytes;
+    p.total_bytes += r.output_bytes;
+    p.total_energy_fj += r.energy_fj;
+    p.total_insitu_bytes += r.insitu_bytes;
+    p.total_offchip_bytes += r.offchip_bytes;
+    p.total_wire_bytes += r.wire_bytes;
   }
 
   // Exact busy-union attribution, one sweep per simulated clock.
   std::map<int, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i].complete_ps > samples[i].submit_ps) {
+    if (samples[i].report.complete_ps > samples[i].report.submit_ps) {
       groups[samples[i].group].push_back(i);
     }
   }
@@ -97,8 +82,8 @@ tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
     std::vector<std::int64_t> points;
     points.reserve(members.size() * 2);
     for (std::size_t i : members) {
-      points.push_back(samples[i].submit_ps);
-      points.push_back(samples[i].complete_ps);
+      points.push_back(samples[i].report.submit_ps);
+      points.push_back(samples[i].report.complete_ps);
     }
     std::sort(points.begin(), points.end());
     points.erase(std::unique(points.begin(), points.end()), points.end());
@@ -109,7 +94,8 @@ tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
     std::vector<std::size_t> by_submit = members;
     std::sort(by_submit.begin(), by_submit.end(),
               [&](std::size_t a, std::size_t b) {
-                return samples[a].submit_ps < samples[b].submit_ps;
+                return samples[a].report.submit_ps <
+                       samples[b].report.submit_ps;
               });
     std::size_t opened = 0;
     std::vector<blame_key> active;  // heap, min at front via pop order
@@ -119,21 +105,21 @@ tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
       const std::int64_t lo = points[pi];
       const std::int64_t hi = points[pi + 1];
       while (opened < by_submit.size() &&
-             samples[by_submit[opened]].submit_ps <= lo) {
+             samples[by_submit[opened]].report.submit_ps <= lo) {
         const sim_op_sample& s = samples[by_submit[opened]];
-        active.push_back({s.submit_ps, s.op, s.sub, by_submit[opened]});
+        active.push_back(
+            {s.report.submit_ps, s.op, s.sub, by_submit[opened]});
         std::push_heap(active.begin(), active.end(), cmp);
         ++opened;
       }
       // Lazily drop expired blame candidates.
       while (!active.empty() &&
-             samples[active.front().idx].complete_ps <= lo) {
+             samples[active.front().idx].report.complete_ps <= lo) {
         std::pop_heap(active.begin(), active.end(), cmp);
         active.pop_back();
       }
       if (active.empty()) continue;  // idle gap: the clock stood still
-      const std::uint64_t ticks =
-          static_cast<std::uint64_t>((hi - lo) / tick_ps);
+      const std::uint64_t ticks = to_ticks(hi - lo);
       charge(p, samples[active.front().idx], ticks);
       group_ticks += ticks;
     }
@@ -142,79 +128,21 @@ tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
   return p;
 }
 
-std::vector<sim_op_sample> samples_from_trace(
-    const std::vector<trace_event>& events,
-    const std::vector<track_info>& tracks) {
-  // Track id -> (group, channel, bank) for simulated lanes.
-  struct lane_id {
-    int group;
-    int channel;
-    int bank;
-  };
-  std::map<std::uint32_t, lane_id> lanes;
-  for (const track_info& t : tracks) {
-    if (t.domain != clock_domain::sim) continue;
-    lane_id lane{t.pid, -1, -1};
-    // Lane names are "ch <channel> bank <bank>" (scheduler::trace_lane)
-    // or "executors" for host/NDP work.
-    if (std::sscanf(t.thread.c_str(), "ch %d bank %d", &lane.channel,
-                    &lane.bank) != 2) {
-      lane.channel = -1;
-      lane.bank = -1;
-    }
-    lanes.emplace(t.id, lane);
-  }
-  static const char* const backend_names[] = {"ambit", "rowclone",
-                                              "ndp_logic", "host"};
-  std::vector<sim_op_sample> samples;
-  for (const trace_event& e : events) {
-    if (e.kind != event_kind::complete || e.cat == nullptr ||
-        std::strcmp(e.cat, "task") != 0) {
-      continue;
-    }
-    auto it = lanes.find(e.track);
-    if (it == lanes.end()) continue;
-    sim_op_sample s;
-    s.group = it->second.group;
-    s.channel = it->second.channel;
-    s.bank = it->second.bank;
-    for (int b = 0; b < 4; ++b) {
-      if (e.name != nullptr && std::strcmp(e.name, backend_names[b]) == 0) {
-        s.backend = b;
-      }
-    }
-    s.output_bytes = e.arg_name != nullptr && std::strcmp(e.arg_name,
-                                                          "output_bytes") == 0
-                         ? static_cast<std::uint64_t>(e.arg)
-                         : 0;
-    // The trace records execution only: queueing folds to zero.
-    s.submit_ps = e.ts;
-    s.start_ps = e.ts;
-    s.complete_ps = e.ts + e.dur;
-    samples.push_back(s);
-  }
-  return samples;
-}
-
 // --- slow-request log ------------------------------------------------------
 
 std::pair<const char*, int> slow_request::dominant_wait() const {
-  const std::int64_t admit =
-      admit_ps > 0 && admit_ps <= submit_ps ? admit_ps : submit_ps;
-  const std::int64_t release =
-      release_ps >= submit_ps && release_ps <= start_ps ? release_ps
-                                                        : start_ps;
-  const std::int64_t lifetime = complete_ps - admit;
+  const std::int64_t lifetime = report.complete_ps - report.admit_ps;
   if (lifetime <= 0) return {"none", 0};
+  const runtime::task_report::segments seg = report.lifetime();
   const std::pair<const char*, std::int64_t> segments[] = {
-      {"admission", submit_ps - admit},
-      {"hazard", release - submit_ps},
-      {"bank", start_ps - release},
-      {wire_hop ? "wire" : "exec", complete_ps - start_ps},
+      {"admission", seg.admission},
+      {"hazard", seg.hazard},
+      {"bank", seg.bank},
+      {report.wire_hop ? "wire" : "exec", seg.exec + seg.wire},
   };
   const auto* best = &segments[0];
-  for (const auto& seg : segments) {
-    if (seg.second > best->second) best = &seg;
+  for (const auto& s : segments) {
+    if (s.second > best->second) best = &s;
   }
   return {best->first,
           static_cast<int>(best->second * 100 / lifetime)};
@@ -273,16 +201,17 @@ void slow_request_log::to_json(json_writer& json) const {
     json.key("shard").value(r.shard);
     json.key("kind").value(r.kind);
     json.key("latency_ns").value(r.latency_ns);
-    json.key("backend").value(r.backend);
-    json.key("output_bytes").value(r.output_bytes);
-    json.key("admit_ps").value(r.admit_ps);
-    json.key("submit_ps").value(r.submit_ps);
-    json.key("release_ps").value(r.release_ps);
-    json.key("start_ps").value(r.start_ps);
-    json.key("complete_ps").value(r.complete_ps);
-    json.key("blocked_on").value(r.blocked_on);
-    json.key("blocked_row").value(r.blocked_row);
-    json.key("wire_hop").value(r.wire_hop);
+    const runtime::task_report& t = r.report;
+    json.key("backend").value(static_cast<int>(t.where));
+    json.key("output_bytes").value(t.output_bytes);
+    json.key("admit_ps").value(t.admit_ps);
+    json.key("submit_ps").value(t.submit_ps);
+    json.key("release_ps").value(t.release_ps);
+    json.key("start_ps").value(t.start_ps);
+    json.key("complete_ps").value(t.complete_ps);
+    json.key("blocked_on").value(t.blocked_on);
+    json.key("blocked_row").value(t.blocked_row);
+    json.key("wire_hop").value(t.wire_hop);
     // One-line critical-path summary, ready to grep:
     // "dominant_wait=<state> pct=<n>".
     const auto [state, pct] = r.dominant_wait();

@@ -1,6 +1,6 @@
 // Tick-attribution profiler: turns per-task simulated-clock samples
-// (task reports, or the tracer's sim-lane events) into an exact cost
-// breakdown — who owns each simulated tick the scheduler burned.
+// (task reports) into an exact cost breakdown — who owns each
+// simulated tick the scheduler burned.
 //
 // The scheduler's clock only advances while at least one task is in
 // flight, so a shard's `total_ticks` delta over a workload equals the
@@ -15,8 +15,8 @@
 // scheduler's tick delta to the tick, which `query::explain_analyze`
 // and bench_query gate on.
 //
-// Alongside the exact attribution each op also gets its raw
-// queueing (start - submit) and execution (complete - start) tick
+// Alongside the exact attribution each op also gets its raw wait
+// (admission, hazard, bank) and execution (complete - start) tick
 // sums. Those overlap across ops — they answer "how long did this op
 // wait vs run", not "who owns the clock" — and both views together
 // are the breakdown the paper's offload decisions need.
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "runtime/task.h"
 
 namespace pim {
 class json_writer;
@@ -49,37 +50,13 @@ namespace pim::obs {
 /// identifies the simulated clock the task ran on (one per shard):
 /// busy intervals only union within a group. `op`/`sub` are
 /// caller-defined labels (the query engine passes plan-step index and
-/// partition); `backend` is the runtime's backend_kind as an int.
+/// partition). Everything else — stamps, lane, backend, bytes, energy
+/// and the release edge — is the task's own report.
 struct sim_op_sample {
   int group = 0;
   int op = -1;
   int sub = -1;
-  int backend = 0;
-  int channel = -1;
-  int bank = -1;
-  std::uint64_t output_bytes = 0;
-  /// Wait-state stamps from the task's report (runtime/task.h):
-  /// admit <= submit <= release <= start <= complete, so the typed
-  /// segments partition the lifetime exactly. Samples rebuilt from
-  /// older sources (trace files, v<4 wire peers) carry zeros; the
-  /// fold clamps them back onto the telescoping invariant.
-  std::uint64_t id = 0;
-  std::uint64_t blocked_on = 0;   // release edge: 0 = never blocked
-  std::uint64_t blocked_row = 0;  // row key carrying that hazard
-  bool wire_hop = false;          // execution time is wire time (PSM)
-  std::int64_t admit_ps = 0;
-  std::int64_t submit_ps = 0;
-  std::int64_t release_ps = 0;
-  std::int64_t start_ps = 0;
-  std::int64_t complete_ps = 0;
-  /// The task's energy charge and moved-bytes ledger from its report
-  /// (obs/energy.h). Per-task integers, so the fold's bucket sums
-  /// partition the meter totals exactly. Zero when metering was off
-  /// (or when rebuilt from a trace file, which carries no charges).
-  std::uint64_t energy_fj = 0;
-  std::uint64_t insitu_bytes = 0;
-  std::uint64_t offchip_bytes = 0;
-  std::uint64_t wire_bytes = 0;
+  runtime::task_report report;
 };
 
 /// Aggregated cost of one attribution bucket (an op, a backend, or a
@@ -87,12 +64,7 @@ struct sim_op_sample {
 struct op_cost {
   std::uint64_t tasks = 0;
   std::uint64_t bytes = 0;
-  /// Sum of (start - admit) over the bucket's tasks, in ticks: every
-  /// tick spent waiting before work began. Kept as the combined
-  /// backward-compatible field; the three fields below split it by
-  /// wait state, and queue_ticks == admission + blocked + bank always.
-  /// Overlaps across buckets.
-  std::uint64_t queue_ticks = 0;
+  /// Wait sums in ticks, overlapping across buckets like exec_ticks.
   /// (submit - admit): shard admission-queue wait (router
   /// backpressure), before the scheduler accepted the task.
   std::uint64_t admission_ticks = 0;
@@ -126,7 +98,7 @@ struct tick_profile {
   /// The same exact attribution projected three ways; each map's
   /// attributed_ticks sums to total_attributed_ticks.
   std::map<int, op_cost> by_op;
-  std::map<int, op_cost> by_backend;
+  std::map<int, op_cost> by_backend;  // runtime::backend_kind as int
   std::map<std::pair<int, int>, op_cost> by_lane;  // (channel, bank)
   /// Busy-union measure per group (== that shard's tick delta).
   std::map<int, std::uint64_t> group_ticks;
@@ -143,47 +115,25 @@ struct tick_profile {
 
 /// Folds completed-task samples into the exact tick attribution.
 /// `tick_ps` is the simulated clock period (dram timing tck_ps);
-/// every sample timestamp must be a multiple of it.
+/// every sample timestamp must be a multiple of it, and every
+/// sample's stamps must telescope (as every completed report's do).
 tick_profile fold_samples(const std::vector<sim_op_sample>& samples,
                           std::int64_t tick_ps);
 
-/// Rebuilds profiler samples from a drained trace: every
-/// simulated-lane complete event (cat "task") becomes one sample —
-/// group = the lane's process (shard), (channel, bank) parsed from
-/// the lane name, backend from the event name, bytes from the event
-/// arg. Trace events carry start/complete only, so submit_ps ==
-/// start_ps and queue_ticks fold to zero: use task reports when the
-/// queueing split matters, the trace fold when only a trace file is
-/// at hand (tools/trace_dump --profile).
-std::vector<sim_op_sample> samples_from_trace(
-    const std::vector<trace_event>& events,
-    const std::vector<track_info>& tracks);
-
 // --- slow-request log ------------------------------------------------------
 
-/// One retained tail request. The sim-side fields are the completing
-/// task's report; `spans` is the request's span tree captured from
-/// the tracer at retention time (empty when tracing was off).
+/// One retained tail request. `report` is the completing task's
+/// (default when the request ran no task): its stamps, release edge
+/// and wire-hop flag answer "why was this one slow" without a trace
+/// file. `spans` is the request's span tree captured from the tracer
+/// at retention time (empty when tracing was off).
 struct slow_request {
   std::uint64_t flow = 0;
   std::uint64_t session = 0;
   int shard = -1;
   const char* kind = "";  // payload span name (static storage)
   std::int64_t latency_ns = 0;
-  int backend = 0;
-  std::uint64_t output_bytes = 0;
-  std::int64_t admit_ps = 0;
-  std::int64_t submit_ps = 0;
-  std::int64_t release_ps = 0;
-  std::int64_t start_ps = 0;
-  std::int64_t complete_ps = 0;
-  /// Critical-path summary of the completing task: which task/row it
-  /// was blocked behind (0 = none) and whether its execution was a
-  /// wire transfer — enough to answer "why was this one slow" without
-  /// a trace file. dominant_wait() names the largest lifetime segment.
-  std::uint64_t blocked_on = 0;
-  std::uint64_t blocked_row = 0;
-  bool wire_hop = false;
+  runtime::task_report report;
 
   /// Largest typed segment of the request's sim lifetime, as
   /// ("admission"|"hazard"|"bank"|"wire"|"exec", percent of

@@ -141,29 +141,8 @@ query_result execute(pim_table& table, const query_plan& plan,
           const int group = client.shard_index();
           out.samples.reserve(step_futures.size());
           for (std::size_t s = 0; s < step_futures.size(); ++s) {
-            const runtime::task_report& r = step_futures[s].get().report;
-            obs::sim_op_sample sample;
-            sample.group = group;
-            sample.id = r.id;
-            sample.op = static_cast<int>(s);
-            sample.sub = p;
-            sample.backend = static_cast<int>(r.where);
-            sample.channel = r.channel;
-            sample.bank = r.bank;
-            sample.output_bytes = r.output_bytes;
-            sample.admit_ps = r.admit_ps;
-            sample.submit_ps = r.submit_ps;
-            sample.release_ps = r.release_ps;
-            sample.start_ps = r.start_ps;
-            sample.complete_ps = r.complete_ps;
-            sample.blocked_on = r.blocked_on;
-            sample.blocked_row = r.blocked_row;
-            sample.wire_hop = r.wire_hop;
-            sample.energy_fj = r.energy_fj;
-            sample.insitu_bytes = r.insitu_bytes;
-            sample.offchip_bytes = r.offchip_bytes;
-            sample.wire_bytes = r.wire_bytes;
-            out.samples.push_back(sample);
+            out.samples.push_back({group, static_cast<int>(s), p,
+                                   step_futures[s].get().report});
           }
         }
         obs::span read_span("read_back", "query");

@@ -21,7 +21,6 @@ std::string step_label(const query_plan& plan, int index) {
 void cost_to_json(json_writer& json, const obs::op_cost& c) {
   json.key("tasks").value(c.tasks);
   json.key("bytes").value(c.bytes);
-  json.key("queue_ticks").value(c.queue_ticks);
   json.key("admission_ticks").value(c.admission_ticks);
   json.key("blocked_ticks").value(c.blocked_ticks);
   json.key("bank_ticks").value(c.bank_ticks);
@@ -78,7 +77,7 @@ explain_result explain_analyze(pim_table& table, const query_plan& plan,
   for (const obs::sim_op_sample& s : out.result.samples) {
     if (s.op >= 0 && s.op < static_cast<int>(out.ops.size())) {
       ++out.ops[static_cast<std::size_t>(s.op)]
-            .backend_tasks[s.backend];
+            .backend_tasks[static_cast<int>(s.report.where)];
     }
   }
 

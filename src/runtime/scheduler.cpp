@@ -412,14 +412,12 @@ void scheduler::complete(task_id id) {
     // the aggregate counters. The timestamps telescope, so the five
     // segments partition complete - admit with zero remainder.
     const task_report& r = n.future->report;
-    stats_.wait_admission_ps +=
-        static_cast<std::uint64_t>(r.submit_ps - r.admit_ps);
-    stats_.wait_hazard_ps +=
-        static_cast<std::uint64_t>(r.release_ps - r.submit_ps);
-    stats_.wait_bank_ps +=
-        static_cast<std::uint64_t>(r.start_ps - r.release_ps);
-    (r.wire_hop ? stats_.wire_ps : stats_.exec_ps) +=
-        static_cast<std::uint64_t>(r.complete_ps - r.start_ps);
+    const task_report::segments seg = r.lifetime();
+    stats_.wait_admission_ps += static_cast<std::uint64_t>(seg.admission);
+    stats_.wait_hazard_ps += static_cast<std::uint64_t>(seg.hazard);
+    stats_.wait_bank_ps += static_cast<std::uint64_t>(seg.bank);
+    stats_.exec_ps += static_cast<std::uint64_t>(seg.exec);
+    stats_.wire_ps += static_cast<std::uint64_t>(seg.wire);
     stats_.task_lifetime_ps +=
         static_cast<std::uint64_t>(r.complete_ps - r.admit_ps);
   }

@@ -71,10 +71,6 @@ struct scheduler_stats {
   std::uint64_t wire_ps = 0;            // executing wire transfers
   std::uint64_t task_lifetime_ps = 0;   // sum of complete - admit
 
-  double energy_pj() const {
-    return static_cast<double>(energy_fj) / 1000.0;
-  }
-
   /// Mean banks concurrently held by bulk sequences — the bank-level
   /// parallelism actually extracted.
   double avg_busy_banks() const {

@@ -155,8 +155,26 @@ struct task_report {
   bytes offchip_bytes = 0;  // moved across the DDR pins
   bytes wire_bytes = 0;     // moved bank-to-bank (PSM transfers)
 
-  double energy_pj() const {
-    return static_cast<double>(energy_fj) / 1000.0;
+  /// The lifetime split into its typed segments (the partition in the
+  /// comment above). The parts sum to complete_ps - admit_ps.
+  struct segments {
+    picoseconds admission = 0;
+    picoseconds hazard = 0;
+    picoseconds bank = 0;
+    picoseconds exec = 0;  // zero for a wire hop
+    picoseconds wire = 0;  // zero unless wire_hop
+  };
+  segments lifetime() const {
+    const picoseconds run = complete_ps - start_ps;
+    return {submit_ps - admit_ps, release_ps - submit_ps,
+            start_ps - release_ps, wire_hop ? 0 : run, wire_hop ? run : 0};
+  }
+
+  /// True when the stamps telescope: admit <= submit <= release <=
+  /// start <= complete. Every report the scheduler completes does.
+  bool telescopes() const {
+    return admit_ps <= submit_ps && submit_ps <= release_ps &&
+           release_ps <= start_ps && start_ps <= complete_ps;
   }
 
   picoseconds latency() const { return complete_ps - submit_ps; }
@@ -169,6 +187,33 @@ struct task_report {
     return gigabytes_per_second(output_bytes, latency());
   }
 };
+
+/// The report's wire grammar (net/protocol.h), declared once: calls
+/// `field` on every member a done frame carries, in frame order. The
+/// encoder and the decoder both walk this list, so they cannot drift.
+/// Enums and bool travel as one byte, int as four, the rest as eight.
+template <typename Report, typename Field>
+void for_each_wire_field(Report& r, Field&& field) {
+  field(r.id);
+  field(r.stream);
+  field(r.kind);
+  field(r.where);
+  field(r.submit_ps);
+  field(r.start_ps);
+  field(r.complete_ps);
+  field(r.output_bytes);
+  field(r.channel);
+  field(r.bank);
+  field(r.energy_fj);
+  field(r.insitu_bytes);
+  field(r.offchip_bytes);
+  field(r.wire_bytes);
+  field(r.admit_ps);
+  field(r.release_ps);
+  field(r.blocked_on);
+  field(r.blocked_row);
+  field(r.wire_hop);
+}
 
 /// Handle to a submitted task. Poll with ready(); block with
 /// scheduler::wait / pim_runtime::wait (which advance simulated time).

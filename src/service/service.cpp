@@ -9,18 +9,6 @@
 
 namespace pim::service {
 
-double service_stats::avg_busy_banks() const {
-  std::uint64_t busy = 0;
-  std::uint64_t ticks = 0;
-  for (const shard_stats& s : shards) {
-    busy += s.runtime.sched.busy_bank_ticks;
-    ticks += s.runtime.sched.ticks;
-  }
-  return ticks == 0
-             ? 0.0
-             : static_cast<double>(busy) / static_cast<double>(ticks);
-}
-
 namespace {
 
 /// Emits one histogram's percentile summary as an open-and-closed
@@ -33,6 +21,20 @@ void latency_to_json(json_writer& json, const latency_histogram& h) {
   json.key("p95_us").value(s.p95_us);
   json.key("p99_us").value(s.p99_us);
   json.end_object();
+}
+
+/// Emits every scheduler meter, reading each one with `value_of`.
+template <typename ValueOf>
+void meters_to_json(json_writer& json, ValueOf value_of) {
+  for (const sched_meter& m : sched_meters) {
+    const std::uint64_t v = value_of(m);
+    json.key(m.name);
+    if (m.kind == meter_kind::energy) {
+      json.value(static_cast<double>(v) / 1000.0);
+    } else {
+      json.value(v);
+    }
+  }
 }
 
 }  // namespace
@@ -51,33 +53,10 @@ void service_stats::to_json(json_writer& json) const {
   json.key("aggregate_gbps").value(aggregate_gbps());
   json.key("avg_busy_banks").value(avg_busy_banks());
   json.key("sim").begin_object();
-  json.key("total_ticks").value(total_ticks);
-  json.key("busy_bank_ticks").value(busy_bank_ticks);
+  meters_to_json(json, [this](const sched_meter& m) { return this->*m.total; });
   json.key("bank_overlap").value(avg_busy_banks());
   json.key("makespan_ps").value(static_cast<std::int64_t>(makespan_ps));
-  json.key("energy_pj").value(static_cast<double>(energy_fj) / 1000.0);
-  json.key("moved_bytes_insitu").value(moved_insitu_bytes);
-  json.key("moved_bytes_offchip").value(moved_offchip_bytes);
-  json.key("moved_bytes_wire").value(moved_wire_bytes);
   json.end_object();
-  json.key("energy").begin_object();
-  json.key("energy_pj").value(static_cast<double>(energy_fj) / 1000.0);
-  json.key("energy_fj").value(energy_fj);
-  json.key("moved_bytes_insitu").value(moved_insitu_bytes);
-  json.key("moved_bytes_offchip").value(moved_offchip_bytes);
-  json.key("moved_bytes_wire").value(moved_wire_bytes);
-  json.end_object();
-  json.key("waits").begin_object();
-  json.key("admission_ps").value(wait_admission_ps);
-  json.key("hazard_ps").value(wait_hazard_ps);
-  json.key("bank_ps").value(wait_bank_ps);
-  json.key("exec_ps").value(wait_exec_ps);
-  json.key("wire_ps").value(wait_wire_ps);
-  json.key("task_lifetime_ps").value(wait_lifetime_ps);
-  json.end_object();
-  json.key("sched_submitted").value(sched_submitted);
-  json.key("sched_completed").value(sched_completed);
-  json.key("hazard_deferred").value(hazard_deferred);
   json.key("hazard_drains").value(hazard_drains);
   json.key("cross_plans").value(cross_plans);
   json.key("staged_bytes").value(staged_bytes);
@@ -118,24 +97,11 @@ void service_stats::to_json(json_writer& json) const {
     }
     json.key("latency");
     latency_to_json(json, shard_latency);
-    json.key("sched_submitted").value(s.runtime.sched.submitted);
-    json.key("sched_completed").value(s.runtime.sched.completed);
-    json.key("hazard_deferred").value(s.runtime.sched.hazard_deferred);
+    meters_to_json(json, [&s](const sched_meter& m) {
+      return s.runtime.sched.*m.shard;
+    });
     json.key("avg_busy_banks").value(s.runtime.sched.avg_busy_banks());
     json.key("peak_busy_banks").value(s.runtime.sched.peak_busy_banks);
-    json.key("energy_pj")
-        .value(static_cast<double>(s.runtime.sched.energy_fj) / 1000.0);
-    json.key("moved_bytes_insitu").value(s.runtime.sched.insitu_bytes);
-    json.key("moved_bytes_offchip").value(s.runtime.sched.offchip_bytes);
-    json.key("moved_bytes_wire").value(s.runtime.sched.wire_bytes);
-    json.key("waits").begin_object();
-    json.key("admission_ps").value(s.runtime.sched.wait_admission_ps);
-    json.key("hazard_ps").value(s.runtime.sched.wait_hazard_ps);
-    json.key("bank_ps").value(s.runtime.sched.wait_bank_ps);
-    json.key("exec_ps").value(s.runtime.sched.exec_ps);
-    json.key("wire_ps").value(s.runtime.sched.wire_ps);
-    json.key("task_lifetime_ps").value(s.runtime.sched.task_lifetime_ps);
-    json.end_object();
     json.key("backends").begin_object();
     for (const auto& [backend, b] : s.runtime.backends) {
       json.key(runtime::to_string(backend)).begin_object();
@@ -791,21 +757,9 @@ service_stats pim_service::stats() const {
     total.sessions += snap.sessions;
     total.output_bytes += snap.output_bytes;
     total.makespan_ps = std::max(total.makespan_ps, snap.now_ps);
-    total.total_ticks += snap.runtime.sched.ticks;
-    total.busy_bank_ticks += snap.runtime.sched.busy_bank_ticks;
-    total.energy_fj += snap.runtime.sched.energy_fj;
-    total.moved_insitu_bytes += snap.runtime.sched.insitu_bytes;
-    total.moved_offchip_bytes += snap.runtime.sched.offchip_bytes;
-    total.moved_wire_bytes += snap.runtime.sched.wire_bytes;
-    total.wait_admission_ps += snap.runtime.sched.wait_admission_ps;
-    total.wait_hazard_ps += snap.runtime.sched.wait_hazard_ps;
-    total.wait_bank_ps += snap.runtime.sched.wait_bank_ps;
-    total.wait_exec_ps += snap.runtime.sched.exec_ps;
-    total.wait_wire_ps += snap.runtime.sched.wire_ps;
-    total.wait_lifetime_ps += snap.runtime.sched.task_lifetime_ps;
-    total.sched_submitted += snap.runtime.sched.submitted;
-    total.sched_completed += snap.runtime.sched.completed;
-    total.hazard_deferred += snap.runtime.sched.hazard_deferred;
+    for (const sched_meter& m : sched_meters) {
+      total.*m.total += snap.runtime.sched.*m.shard;
+    }
     total.hazard_drains += snap.hazard_drains;
     total.cross_plans += snap.cross_plans;
     total.staged_bytes += snap.staged_bytes;

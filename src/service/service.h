@@ -60,9 +60,10 @@ struct service_stats {
   /// Slowest shard's simulated clock — the service-level makespan when
   /// every shard starts from t=0.
   picoseconds makespan_ps = 0;
+  /// The scheduler meters (sched_meters below), summed across shards.
   /// Simulated-clock aggregates (machine-independent): scheduler ticks
-  /// and busy-bank ticks summed across shards. bench_diff compares
-  /// these instead of wall-clock numbers.
+  /// and busy-bank ticks. bench_diff compares these instead of
+  /// wall-clock numbers.
   std::uint64_t total_ticks = 0;
   std::uint64_t busy_bank_ticks = 0;
   /// Live energy meter aggregates (obs/energy.h), summed across
@@ -104,12 +105,84 @@ struct service_stats {
   }
 
   /// Mean busy banks across all shards' tick loops.
-  double avg_busy_banks() const;
+  double avg_busy_banks() const {
+    return total_ticks == 0 ? 0.0
+                            : static_cast<double>(busy_bank_ticks) /
+                                  static_cast<double>(total_ticks);
+  }
 
   /// Emits the full telemetry tree (aggregates + per-shard) into an
   /// open JSON object.
   void to_json(json_writer& json) const;
 };
+
+/// How a scheduler meter is shown.
+enum class meter_kind {
+  count,   // shown as metered
+  energy,  // metered in fJ, shown in pJ
+  moved,   // bytes, on pim_top's moved: line
+  wait,    // ps in one wait state, on pim_top's waits: line
+};
+
+/// One scheduler meter, declared once. `name` is its spelling on every
+/// live surface: the stats JSON (the service's "sim" object and each
+/// shard's entry), the shard gauges `service.shard.N.<name>`, the
+/// watch_stats counters `service.<name>` and pim_top. `label` is its
+/// short name on pim_top's moved: or waits: line (empty for the other
+/// kinds). A shard's scheduler meters it in `shard`;
+/// pim_service::stats() sums the shards into `total`.
+struct sched_meter {
+  const char* name;
+  const char* label;
+  meter_kind kind;
+  std::uint64_t runtime::scheduler_stats::*shard;
+  std::uint64_t service_stats::*total;
+};
+
+inline constexpr sched_meter sched_meters[] = {
+    {"total_ticks", "", meter_kind::count,
+     &runtime::scheduler_stats::ticks, &service_stats::total_ticks},
+    {"busy_bank_ticks", "", meter_kind::count,
+     &runtime::scheduler_stats::busy_bank_ticks,
+     &service_stats::busy_bank_ticks},
+    {"sched_submitted", "", meter_kind::count,
+     &runtime::scheduler_stats::submitted, &service_stats::sched_submitted},
+    {"sched_completed", "", meter_kind::count,
+     &runtime::scheduler_stats::completed, &service_stats::sched_completed},
+    {"hazard_deferred", "", meter_kind::count,
+     &runtime::scheduler_stats::hazard_deferred,
+     &service_stats::hazard_deferred},
+    {"energy_pj", "", meter_kind::energy,
+     &runtime::scheduler_stats::energy_fj, &service_stats::energy_fj},
+    {"moved_bytes_insitu", "insitu", meter_kind::moved,
+     &runtime::scheduler_stats::insitu_bytes,
+     &service_stats::moved_insitu_bytes},
+    {"moved_bytes_offchip", "offchip", meter_kind::moved,
+     &runtime::scheduler_stats::offchip_bytes,
+     &service_stats::moved_offchip_bytes},
+    {"moved_bytes_wire", "wire", meter_kind::moved,
+     &runtime::scheduler_stats::wire_bytes, &service_stats::moved_wire_bytes},
+    {"wait_admission_ps", "admission", meter_kind::wait,
+     &runtime::scheduler_stats::wait_admission_ps,
+     &service_stats::wait_admission_ps},
+    {"wait_hazard_ps", "hazard", meter_kind::wait,
+     &runtime::scheduler_stats::wait_hazard_ps,
+     &service_stats::wait_hazard_ps},
+    {"wait_bank_ps", "bank", meter_kind::wait,
+     &runtime::scheduler_stats::wait_bank_ps, &service_stats::wait_bank_ps},
+    {"exec_ps", "exec", meter_kind::wait, &runtime::scheduler_stats::exec_ps,
+     &service_stats::wait_exec_ps},
+    {"wire_ps", "wire", meter_kind::wait, &runtime::scheduler_stats::wire_ps,
+     &service_stats::wait_wire_ps},
+    {"task_lifetime_ps", "", meter_kind::count,
+     &runtime::scheduler_stats::task_lifetime_ps,
+     &service_stats::wait_lifetime_ps},
+};
+
+/// `v` as the counters and gauges show meter `m`: energy in whole pJ.
+inline std::uint64_t shown_value(const sched_meter& m, std::uint64_t v) {
+  return m.kind == meter_kind::energy ? v / 1000 : v;
+}
 
 struct session_info {
   session_id id = 0;

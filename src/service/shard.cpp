@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "service/service.h"
 
 namespace pim::service {
 
@@ -538,18 +539,7 @@ void shard::complete_tracked(session_id session,
     entry.shard = index_;
     entry.kind = kind;
     entry.latency_ns = elapsed_ns;
-    if (report != nullptr) {
-      entry.backend = static_cast<int>(report->where);
-      entry.output_bytes = report->output_bytes;
-      entry.admit_ps = report->admit_ps;
-      entry.submit_ps = report->submit_ps;
-      entry.release_ps = report->release_ps;
-      entry.start_ps = report->start_ps;
-      entry.complete_ps = report->complete_ps;
-      entry.blocked_on = report->blocked_on;
-      entry.blocked_row = report->blocked_row;
-      entry.wire_hop = report->wire_hop;
-    }
+    if (report != nullptr) entry.report = *report;
     slow.observe(std::move(entry));
   }
 }
@@ -1230,46 +1220,17 @@ void shard::publish_stats_locked() {
       .store(static_cast<std::int64_t>(
                  stats_.runtime.sched.avg_busy_banks() * 1000.0),
              std::memory_order_relaxed);
-  // Energy meter + moved-bytes gauges publish from the same runtime
-  // snapshot, in the same mu_ hold, as the scheduler-tick gauges —
-  // a mid-burst get_metrics can never pair energy from one publish
-  // point with ticks from another.
-  reg.gauge(prefix + "sched_ticks")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.ticks),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "energy_pj")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.energy_fj / 1000),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_insitu_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.insitu_bytes),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_offchip_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.offchip_bytes),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "moved_wire_bytes")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wire_bytes),
-             std::memory_order_relaxed);
-  // Wait-state attribution: the five classes partition task_lifetime
-  // exactly (scheduler invariant), so the dashboard can render shares
-  // without a remainder bucket.
-  reg.gauge(prefix + "wait_admission_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_admission_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wait_hazard_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_hazard_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wait_bank_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wait_bank_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "exec_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.exec_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "wire_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.wire_ps),
-             std::memory_order_relaxed);
-  reg.gauge(prefix + "task_lifetime_ps")
-      .store(static_cast<std::int64_t>(stats_.runtime.sched.task_lifetime_ps),
-             std::memory_order_relaxed);
+  // Every scheduler meter publishes from the same runtime snapshot, in
+  // the same mu_ hold — a mid-burst get_metrics can never pair energy
+  // from one publish point with ticks from another — and the wait
+  // meters partition task_lifetime_ps exactly, so the dashboard can
+  // render shares without a remainder bucket.
+  for (const sched_meter& m : sched_meters) {
+    reg.gauge(prefix + m.name)
+        .store(static_cast<std::int64_t>(
+                   shown_value(m, stats_.runtime.sched.*m.shard)),
+               std::memory_order_relaxed);
+  }
   // Every publish satisfies any pending on-demand stats() request.
   stats_pub_done_ = stats_pub_requested_;
   cv_stats_.notify_all();

@@ -73,8 +73,6 @@ const std::vector<diag_info>& catalog() {
        "two wire-schema entries share one opcode value"},
       {diag::missing_response_arm, "missing-response-arm",
        "request opcode without a response arm in the schema"},
-      {diag::version_bounds, "version-bounds",
-       "per-opcode version bounds outside the wire version window"},
   };
   return entries;
 }

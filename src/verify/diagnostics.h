@@ -58,7 +58,7 @@ enum class diag : int {
   opcode_range = 301,         // request >= 64 or response < 64
   duplicate_opcode = 302,     // two table entries share an opcode value
   missing_response_arm = 303, // request without a response opcode in the table
-  version_bounds = 304,       // per-opcode min/max outside the wire window
+  // 304 (version-bounds) is retired: the wire has one version.
 };
 
 /// "V001"-style stable identifier.

@@ -247,11 +247,6 @@ report bad_report(diag d) {
                        }));
       return check_wire_schema(s);  // wait's response arm is gone
     }
-    case diag::version_bounds: {
-      wire_schema_info s = canonical_wire_schema();
-      s.opcodes[0].min_version = 0;  // below the wire window's floor
-      return check_wire_schema(s);
-    }
   }
 
   report r;

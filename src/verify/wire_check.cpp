@@ -18,45 +18,35 @@ constexpr std::uint8_t raw(net::opcode op) {
 wire_schema_info canonical_wire_schema() {
   using net::opcode;
   wire_schema_info s;
-  s.version_min = net::wire_version_min;
-  s.version_max = net::wire_version;
   s.error_opcode = raw(opcode::error);
-
-  const std::uint8_t v1 = 1;
-  // Version 2 added the hello negotiation; the observability opcodes
-  // (get_metrics/trace_ctl/watch_stats and their responses) shipped
-  // while version 2 was current, so 2 is the floor they exist at.
-  const std::uint8_t v2 = 2;
-  const std::uint8_t vmax = net::wire_version;
-
   s.opcodes = {
-      // requests                                 response              versions
-      {raw(opcode::open_session), "open_session", true, raw(opcode::opened), v1, vmax},
-      {raw(opcode::close_session), "close_session", true, raw(opcode::closed), v1, vmax},
-      {raw(opcode::allocate), "allocate", true, raw(opcode::vectors), v1, vmax},
-      {raw(opcode::write), "write", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::read), "read", true, raw(opcode::data), v1, vmax},
-      {raw(opcode::submit), "submit", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done), v1, vmax},
-      {raw(opcode::wait), "wait", true, raw(opcode::waited), v1, vmax},
-      {raw(opcode::stats), "stats", true, raw(opcode::stats_report), v1, vmax},
-      {raw(opcode::hello), "hello", true, raw(opcode::hello_ack), v2, vmax},
-      {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report), v2, vmax},
-      {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack), v2, vmax},
-      {raw(opcode::watch_stats), "watch_stats", true, raw(opcode::stats_push), v2, vmax},
+      // requests                                 response
+      {raw(opcode::open_session), "open_session", true, raw(opcode::opened)},
+      {raw(opcode::close_session), "close_session", true, raw(opcode::closed)},
+      {raw(opcode::allocate), "allocate", true, raw(opcode::vectors)},
+      {raw(opcode::write), "write", true, raw(opcode::done)},
+      {raw(opcode::read), "read", true, raw(opcode::data)},
+      {raw(opcode::submit), "submit", true, raw(opcode::done)},
+      {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done)},
+      {raw(opcode::wait), "wait", true, raw(opcode::waited)},
+      {raw(opcode::stats), "stats", true, raw(opcode::stats_report)},
+      {raw(opcode::hello), "hello", true, raw(opcode::hello_ack)},
+      {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report)},
+      {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack)},
+      {raw(opcode::watch_stats), "watch_stats", true, raw(opcode::stats_push)},
       // responses
-      {raw(opcode::opened), "opened", false, 0, v1, vmax},
-      {raw(opcode::closed), "closed", false, 0, v1, vmax},
-      {raw(opcode::vectors), "vectors", false, 0, v1, vmax},
-      {raw(opcode::data), "data", false, 0, v1, vmax},
-      {raw(opcode::done), "done", false, 0, v1, vmax},
-      {raw(opcode::waited), "waited", false, 0, v1, vmax},
-      {raw(opcode::stats_report), "stats_report", false, 0, v1, vmax},
-      {raw(opcode::error), "error", false, 0, v1, vmax},
-      {raw(opcode::hello_ack), "hello_ack", false, 0, v2, vmax},
-      {raw(opcode::metrics_report), "metrics_report", false, 0, v2, vmax},
-      {raw(opcode::trace_ack), "trace_ack", false, 0, v2, vmax},
-      {raw(opcode::stats_push), "stats_push", false, 0, v2, vmax},
+      {raw(opcode::opened), "opened", false, 0},
+      {raw(opcode::closed), "closed", false, 0},
+      {raw(opcode::vectors), "vectors", false, 0},
+      {raw(opcode::data), "data", false, 0},
+      {raw(opcode::done), "done", false, 0},
+      {raw(opcode::waited), "waited", false, 0},
+      {raw(opcode::stats_report), "stats_report", false, 0},
+      {raw(opcode::error), "error", false, 0},
+      {raw(opcode::hello_ack), "hello_ack", false, 0},
+      {raw(opcode::metrics_report), "metrics_report", false, 0},
+      {raw(opcode::trace_ack), "trace_ack", false, 0},
+      {raw(opcode::stats_push), "stats_push", false, 0},
   };
   // Closedness against the real protocol: one schema entry per
   // net_message alternative. Adding a message type without extending
@@ -87,21 +77,11 @@ report check_wire_schema(const wire_schema_info& schema) {
             std::string(op.name) + " reuses opcode " +
                 std::to_string(op.value) + " of " + it->second->name);
     }
-    if (op.min_version > op.max_version ||
-        op.min_version < schema.version_min ||
-        op.max_version > schema.version_max) {
-      r.add(diag::version_bounds, loc,
-            std::string(op.name) + " spans versions [" +
-                std::to_string(op.min_version) + ", " +
-                std::to_string(op.max_version) + "], wire window is [" +
-                std::to_string(schema.version_min) + ", " +
-                std::to_string(schema.version_max) + "]");
-    }
   }
 
-  // Every request needs a response arm that exists, is a response, and
-  // is live across the request's whole version window; and the error
-  // response any request can be answered with must itself exist.
+  // Every request needs a response arm that exists and is a response;
+  // and the error response any request can be answered with must
+  // itself exist.
   const auto error_it = by_value.find(schema.error_opcode);
   if (error_it == by_value.end() || error_it->second->request) {
     r.add(diag::missing_response_arm, -1,
@@ -118,17 +98,6 @@ report check_wire_schema(const wire_schema_info& schema) {
       r.add(diag::missing_response_arm, loc,
             std::string(op.name) + " names response opcode " +
                 std::to_string(op.response) + ", which is not a response");
-      continue;
-    }
-    const opcode_info& resp = *it->second;
-    if (resp.min_version > op.min_version ||
-        resp.max_version < op.max_version) {
-      r.add(diag::missing_response_arm, loc,
-            std::string(op.name) + " exists in versions [" +
-                std::to_string(op.min_version) + ", " +
-                std::to_string(op.max_version) + "] but its response " +
-                resp.name + " only in [" + std::to_string(resp.min_version) +
-                ", " + std::to_string(resp.max_version) + "]");
     }
   }
 

@@ -3,9 +3,8 @@
 // net/protocol.h defines the message grammar as C++ types; what no
 // type system enforces is that the *table* is closed and consistent:
 // every request opcode has a response arm, request and response
-// values stay in their ranges (below/above 64), no value is assigned
-// twice, and each opcode's version window fits inside the protocol's
-// [wire_version_min, wire_version] span. canonical_wire_schema()
+// values stay in their ranges (below/above 64), and no value is
+// assigned twice. canonical_wire_schema()
 // mirrors the real protocol table (a static_assert pins its size to
 // the net_message variant, so adding an opcode without extending the
 // schema fails the build); check_wire_schema validates any schema —
@@ -22,20 +21,15 @@ namespace pim::verify {
 
 /// One opcode of the wire schema. For requests, `response` names the
 /// success-response opcode (any request may also be answered by the
-/// error response). min/max_version bound the protocol versions the
-/// opcode exists in.
+/// error response).
 struct opcode_info {
   std::uint8_t value = 0;
   const char* name = "";
   bool request = false;
   std::uint8_t response = 0;  // requests only
-  std::uint8_t min_version = 1;
-  std::uint8_t max_version = 1;
 };
 
 struct wire_schema_info {
-  std::uint8_t version_min = 1;  // oldest version still parseable
-  std::uint8_t version_max = 1;  // highest version this build speaks
   /// Opcode of the error response that may answer any request.
   std::uint8_t error_opcode = 0;
   std::vector<opcode_info> opcodes;
@@ -44,8 +38,7 @@ struct wire_schema_info {
 /// The real protocol's table, built from net/protocol.h constants.
 wire_schema_info canonical_wire_schema();
 
-/// V301 opcode-range, V302 duplicate-opcode, V303 missing-response-arm,
-/// V304 version-bounds.
+/// V301 opcode-range, V302 duplicate-opcode, V303 missing-response-arm.
 report check_wire_schema(const wire_schema_info& schema);
 
 }  // namespace pim::verify

@@ -3,8 +3,8 @@
 // the zero-remainder segment partition, permutation determinism,
 // zero-duration tasks, the what-if projector (identity replay plus
 // zeroed wait classes), the scheduler's telescoping stamps and
-// wait-counter partition, and the v4 wire round-trip of the new
-// report fields (with v3 peers reading zeros).
+// wait-counter partition, and the wire round-trip of the report's
+// wait-state fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,17 +29,18 @@ sim_op_sample make(std::uint64_t id, std::int64_t admit,
                    int group = 0) {
   sim_op_sample s;
   s.group = group;
-  s.id = id;
   s.op = static_cast<int>(id);
   s.sub = 0;
-  s.admit_ps = admit;
-  s.submit_ps = submit;
-  s.release_ps = release;
-  s.start_ps = start;
-  s.complete_ps = complete;
-  s.blocked_on = blocked_on;
-  s.blocked_row = blocked_on != 0 ? 7 : 0;
-  s.wire_hop = wire_hop;
+  runtime::task_report& r = s.report;
+  r.id = id;
+  r.admit_ps = admit;
+  r.submit_ps = submit;
+  r.release_ps = release;
+  r.start_ps = start;
+  r.complete_ps = complete;
+  r.blocked_on = blocked_on;
+  r.blocked_row = blocked_on != 0 ? 7 : 0;
+  r.wire_hop = wire_hop;
   return s;
 }
 
@@ -211,7 +212,7 @@ TEST(CritpathTest, PermutationsOfTheInputAnalyzeIdentically) {
   }
   std::sort(samples.begin(), samples.end(),
             [](const sim_op_sample& a, const sim_op_sample& b) {
-              return a.id < b.id;
+              return a.report.id < b.report.id;
             });
   do {
     const critpath_report r = analyze(samples);
@@ -229,7 +230,7 @@ TEST(CritpathTest, PermutationsOfTheInputAnalyzeIdentically) {
   } while (std::next_permutation(
       samples.begin(), samples.end(),
       [](const sim_op_sample& a, const sim_op_sample& b) {
-        return a.id < b.id;
+        return a.report.id < b.report.id;
       }));
 }
 
@@ -242,23 +243,6 @@ TEST(CritpathTest, TiedCompletionsPickTheLowestId) {
   };
   const critpath_report r = analyze(samples);
   EXPECT_EQ(r.tasks, (std::vector<std::uint64_t>{2}));
-}
-
-TEST(CritpathTest, PreV4SamplesClampOntoTheInvariant) {
-  // Zero admit/release (trace files, v<4 peers) must read as "no
-  // admission wait, hazard unknown": admit := submit, release := start.
-  sim_op_sample s = make(1, 0, 0, 0, 0, 0);
-  s.submit_ps = 100;
-  s.release_ps = 0;
-  s.admit_ps = 0;
-  s.start_ps = 140;
-  s.complete_ps = 200;
-  const critpath_report r = analyze({s});
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.span_ps(), 100);
-  EXPECT_EQ(r.state_ps[static_cast<int>(wait_state::admission_queued)], 0u);
-  EXPECT_EQ(r.state_ps[static_cast<int>(wait_state::hazard_blocked)], 40u);
-  EXPECT_EQ(r.state_ps[static_cast<int>(wait_state::executing)], 60u);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,20 +378,7 @@ TEST(SchedulerStampsTest, AnalyzeRealReportsExactly) {
   sys.wait_all();
   std::vector<sim_op_sample> samples;
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    const runtime::task_report& r = futures[i].report();
-    sim_op_sample s;
-    s.group = 0;
-    s.id = r.id;
-    s.op = static_cast<int>(i);
-    s.admit_ps = r.admit_ps;
-    s.submit_ps = r.submit_ps;
-    s.release_ps = r.release_ps;
-    s.start_ps = r.start_ps;
-    s.complete_ps = r.complete_ps;
-    s.blocked_on = r.blocked_on;
-    s.blocked_row = r.blocked_row;
-    s.wire_hop = r.wire_hop;
-    samples.push_back(s);
+    samples.push_back({0, static_cast<int>(i), -1, futures[i].report()});
   }
   const critpath_report r = analyze(samples);
   EXPECT_TRUE(r.exact);
@@ -420,8 +391,7 @@ TEST(SchedulerStampsTest, AnalyzeRealReportsExactly) {
 }  // namespace pim::obs
 
 // ---------------------------------------------------------------------------
-// Wire protocol v4: the report's wait-state fields round-trip, and a
-// v3 peer reads the old grammar (zeros) cleanly
+// Wire protocol: the report's wait-state fields round-trip
 // ---------------------------------------------------------------------------
 
 namespace pim::net {
@@ -456,35 +426,17 @@ net_frame decode_one(const std::vector<std::uint8_t>& wire) {
 TEST(WireCritpathTest, V4RoundTripsTheWaitStateFields) {
   done_resp resp;
   resp.report = stamped_report();
-  const net_frame f = decode_one(encode_frame(9, resp, /*version=*/4));
+  const net_frame f = decode_one(encode_frame(9, resp));
   const auto& m = std::get<done_resp>(f.msg);
   EXPECT_EQ(m.report.admit_ps, 4);
   EXPECT_EQ(m.report.release_ps, 15);
   EXPECT_EQ(m.report.blocked_on, 17u);
   EXPECT_EQ(m.report.blocked_row, 0xfeedbeefu);
   EXPECT_TRUE(m.report.wire_hop);
-  // The pre-v4 fields still round-trip untouched.
+  // The rest of the report round-trips untouched.
   EXPECT_EQ(m.report.id, 55u);
   EXPECT_EQ(m.report.complete_ps, 300);
   EXPECT_EQ(m.report.output_bytes, 4096u);
-}
-
-TEST(WireCritpathTest, V3PeersSeeTheOldGrammarAndReportZeros) {
-  done_resp resp;
-  resp.report = stamped_report();
-  const net_frame f = decode_one(encode_frame(9, resp, /*version=*/3));
-  const auto& m = std::get<done_resp>(f.msg);
-  // The v4 tail was omitted at the negotiated version, so the decoder
-  // leaves the new fields at their zero defaults...
-  EXPECT_EQ(m.report.admit_ps, 0);
-  EXPECT_EQ(m.report.release_ps, 0);
-  EXPECT_EQ(m.report.blocked_on, 0u);
-  EXPECT_EQ(m.report.blocked_row, 0u);
-  EXPECT_FALSE(m.report.wire_hop);
-  // ...while everything the old grammar carries survives.
-  EXPECT_EQ(m.report.id, 55u);
-  EXPECT_EQ(m.report.submit_ps, 10);
-  EXPECT_EQ(m.report.complete_ps, 300);
 }
 
 }  // namespace

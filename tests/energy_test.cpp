@@ -1,7 +1,7 @@
 // Tests for the live energy meter (obs/energy.h): per-kind pricing
 // against the closed-form constants, the integer-femtojoule exactness
 // discipline through the profile fold, the scheduler's meter vs the
-// per-task report charges, metering-off transparency, the wire's v3
+// per-task report charges, metering-off transparency, the done frame's
 // energy fields, and the per-shard gauge snapshot published atomically
 // with the service stats (the publish-on-demand coherence contract).
 #include <cstdint>
@@ -246,15 +246,18 @@ sim_op_sample energy_sample(int group, int op, int backend, int bank,
   sim_op_sample s;
   s.group = group;
   s.op = op;
-  s.backend = backend;
-  s.bank = bank;
-  s.submit_ps = 0;
-  s.start_ps = 0;
-  s.complete_ps = 1250;
-  s.energy_fj = fj;
-  s.insitu_bytes = insitu;
-  s.offchip_bytes = offchip;
-  s.wire_bytes = wire;
+  runtime::task_report& r = s.report;
+  r.where = static_cast<backend_kind>(backend);
+  r.bank = bank;
+  r.admit_ps = 0;
+  r.submit_ps = 0;
+  r.release_ps = 0;
+  r.start_ps = 0;
+  r.complete_ps = 1250;
+  r.energy_fj = fj;
+  r.insitu_bytes = insitu;
+  r.offchip_bytes = offchip;
+  r.wire_bytes = wire;
   return s;
 }
 
@@ -271,10 +274,10 @@ TEST(FoldSamplesEnergyTest, EveryProjectionSumsToTheMeterTotal) {
   std::uint64_t expect_fj = 0;
   bytes expect_insitu = 0, expect_offchip = 0, expect_wire = 0;
   for (const sim_op_sample& s : samples) {
-    expect_fj += s.energy_fj;
-    expect_insitu += s.insitu_bytes;
-    expect_offchip += s.offchip_bytes;
-    expect_wire += s.wire_bytes;
+    expect_fj += s.report.energy_fj;
+    expect_insitu += s.report.insitu_bytes;
+    expect_offchip += s.report.offchip_bytes;
+    expect_wire += s.report.wire_bytes;
   }
   EXPECT_EQ(p.total_energy_fj, expect_fj);
   EXPECT_EQ(p.total_insitu_bytes, expect_insitu);
@@ -360,13 +363,11 @@ TEST(SchedulerMeterTest, MeteringOffIsFreeAndTransparent) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire: v3 carries the charge; v2 peers see the old grammar
+// Wire: the done frame carries the charge
 // ---------------------------------------------------------------------------
 
-net::net_frame wire_roundtrip(const net::net_message& msg,
-                              std::uint8_t version) {
-  const std::vector<std::uint8_t> bytes =
-      net::encode_frame(99, msg, version);
+net::net_frame wire_roundtrip(const net::net_message& msg) {
+  const std::vector<std::uint8_t> bytes = net::encode_frame(99, msg);
   net::frame_splitter splitter;
   splitter.feed(bytes.data(), bytes.size());
   auto frame = splitter.next();
@@ -383,29 +384,12 @@ TEST(WireEnergyTest, V3RoundTripsTheChargeAndLedger) {
   resp.report.offchip_bytes = 2222;
   resp.report.wire_bytes = 3333;
 
-  const auto f = wire_roundtrip(resp, net::wire_version);
+  const auto f = wire_roundtrip(resp);
   const auto& m = std::get<net::done_resp>(f.msg);
   EXPECT_EQ(m.report.energy_fj, 123456789ull);
   EXPECT_EQ(m.report.insitu_bytes, 1111u);
   EXPECT_EQ(m.report.offchip_bytes, 2222u);
   EXPECT_EQ(m.report.wire_bytes, 3333u);
-}
-
-TEST(WireEnergyTest, V2PeersGetTheOldGrammarAndZeroEnergy) {
-  net::done_resp resp;
-  resp.report.id = 4;
-  resp.report.output_bytes = 4096;
-  resp.report.energy_fj = 123456789ull;
-  resp.report.insitu_bytes = 1111;
-
-  const auto f = wire_roundtrip(resp, 2);
-  const auto& m = std::get<net::done_resp>(f.msg);
-  // The rest of the report still crosses; the v3 tail does not exist
-  // at v2, so the fields decode to their zero defaults.
-  EXPECT_EQ(m.report.id, 4u);
-  EXPECT_EQ(m.report.output_bytes, 4096u);
-  EXPECT_EQ(m.report.energy_fj, 0u);
-  EXPECT_EQ(m.report.insitu_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,15 +434,15 @@ TEST(ShardGaugeTest, EnergyGaugesCoherentWithServiceStats) {
           stats.shards[static_cast<std::size_t>(s)].runtime.sched;
       total_fj += sched.energy_fj;
       EXPECT_GT(sched.energy_fj, 0u);
-      EXPECT_EQ(snap.gauges.at(prefix + "sched_ticks"),
+      EXPECT_EQ(snap.gauges.at(prefix + "total_ticks"),
                 static_cast<std::int64_t>(sched.ticks));
       EXPECT_EQ(snap.gauges.at(prefix + "energy_pj"),
                 static_cast<std::int64_t>(sched.energy_fj / 1000));
-      EXPECT_EQ(snap.gauges.at(prefix + "moved_insitu_bytes"),
+      EXPECT_EQ(snap.gauges.at(prefix + "moved_bytes_insitu"),
                 static_cast<std::int64_t>(sched.insitu_bytes));
-      EXPECT_EQ(snap.gauges.at(prefix + "moved_offchip_bytes"),
+      EXPECT_EQ(snap.gauges.at(prefix + "moved_bytes_offchip"),
                 static_cast<std::int64_t>(sched.offchip_bytes));
-      EXPECT_EQ(snap.gauges.at(prefix + "moved_wire_bytes"),
+      EXPECT_EQ(snap.gauges.at(prefix + "moved_bytes_wire"),
                 static_cast<std::int64_t>(sched.wire_bytes));
     }
     // And the aggregate equals the per-shard sum — the conservation

@@ -1,13 +1,15 @@
 // Tests for the wire protocol and the socket server/client pair.
 //
 // Framing is tested on plain byte buffers (no socket): round trips
-// across every message type, then every malformed-input class — bad
-// magic, oversized length, truncated body, unknown opcode, trailing
-// bytes. The server tests drive real loopback sockets: garbage input
-// must produce one error frame and a closed connection (never a
-// crash, and never take down other connections), and a synthetic
-// fleet over remote_client must reproduce the in-process digests bit
-// for bit with pipelined, out-of-order responses.
+// across every message type, the done frame's golden bytes, then every
+// malformed-input class — bad magic, oversized length, wrong version,
+// truncated body, unknown opcode or report enum, report stamps that do
+// not telescope, trailing bytes. The server tests drive real loopback
+// sockets: garbage input must produce one error frame and a closed
+// connection (never a crash, and never take down other connections),
+// and a synthetic fleet over remote_client must reproduce the
+// in-process digests bit for bit with pipelined, out-of-order
+// responses.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -170,6 +172,7 @@ TEST(protocol, round_trips_every_response_type) {
     resp.report.kind = runtime::task_kind::bulk_bool;
     resp.report.where = runtime::backend_kind::ambit;
     resp.report.submit_ps = 10;
+    resp.report.release_ps = 20;
     resp.report.start_ps = 20;
     resp.report.complete_ps = 300;
     resp.report.output_bytes = 4096;
@@ -195,21 +198,73 @@ TEST(protocol, round_trips_every_response_type) {
   }
 }
 
+TEST(protocol, done_frame_matches_golden_bytes) {
+  // Every report field holds a distinct value, so a reordered, resized
+  // or dropped field changes the bytes.
+  done_resp resp;
+  runtime::task_report& r = resp.report;
+  r.id = 0x0807060504030201;
+  r.stream = 3;
+  r.kind = runtime::task_kind::host_kernel;
+  r.where = runtime::backend_kind::ndp_logic;
+  r.admit_ps = 0x1000;
+  r.submit_ps = 0x2000;
+  r.release_ps = 0x3000;
+  r.start_ps = 0x4000;
+  r.complete_ps = 0x5000;
+  r.output_bytes = 0x600;
+  r.channel = 9;
+  r.bank = 10;
+  r.energy_fj = 0x0a0b0c0d;
+  r.insitu_bytes = 0x100;
+  r.offchip_bytes = 0x200;
+  r.wire_bytes = 0x300;
+  r.blocked_on = 0x11;
+  r.blocked_row = 0x0000000100000002;
+  r.wire_hop = true;
+  const std::vector<std::uint8_t> golden = {
+      0x31, 0x4d, 0x49, 0x50,                          // magic
+      0x81, 0x00, 0x00, 0x00,                          // length 129
+      0x04,                                            // version
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request id
+      0x44,                                            // opcode done
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // id
+      0x03, 0x00, 0x00, 0x00,                          // stream
+      0x03,                                            // kind
+      0x02,                                            // where
+      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // submit_ps
+      0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // start_ps
+      0x00, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // complete_ps
+      0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // output_bytes
+      0x09, 0x00, 0x00, 0x00,                          // channel
+      0x0a, 0x00, 0x00, 0x00,                          // bank
+      0x0d, 0x0c, 0x0b, 0x0a, 0x00, 0x00, 0x00, 0x00,  // energy_fj
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // insitu_bytes
+      0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // offchip_bytes
+      0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // wire_bytes
+      0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // admit_ps
+      0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // release_ps
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // blocked_on
+      0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // blocked_row
+      0x01,                                            // wire_hop
+  };
+  EXPECT_EQ(encode_frame(42, resp), golden);
+}
+
 TEST(protocol, accepts_the_whole_supported_version_range) {
-  // Frames stamped anywhere in [wire_version_min, wire_version] parse;
-  // outside the range is a protocol error.
-  for (std::uint8_t v = wire_version_min; v <= wire_version; ++v) {
-    const auto wire = encode_frame(1, wait_req{}, v);
+  // Only wire_version parses; the version byte follows the header.
+  const auto good = encode_frame(1, wait_req{});
+  for (const std::uint8_t v : {std::uint8_t{3}, std::uint8_t{4},
+                               std::uint8_t{5}}) {
+    std::vector<std::uint8_t> wire = good;
+    wire[8] = v;
     frame_splitter splitter;
     splitter.feed(wire.data(), wire.size());
-    EXPECT_TRUE(splitter.next().has_value()) << int(v);
-  }
-  for (const std::uint8_t v : {std::uint8_t{0},
-                               static_cast<std::uint8_t>(wire_version + 1)}) {
-    const auto wire = encode_frame(1, wait_req{}, v);
-    frame_splitter splitter;
-    splitter.feed(wire.data(), wire.size());
-    EXPECT_THROW(splitter.next(), protocol_error) << int(v);
+    if (v == wire_version) {
+      EXPECT_TRUE(splitter.next().has_value());
+    } else {
+      EXPECT_THROW(splitter.next(), protocol_error) << int(v);
+    }
   }
 }
 
@@ -304,6 +359,45 @@ TEST(protocol, rejects_unknown_opcode) {
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
   EXPECT_EQ(splitter.last_id(), 3u);
+}
+
+/// A done frame carrying `r`. The report starts at `report_at`, after
+/// the header, version, id and opcode.
+std::vector<std::uint8_t> done_frame(const runtime::task_report& r) {
+  return encode_frame(5, done_resp{r});
+}
+constexpr std::size_t report_at = 8 + 1 + 8 + 1;
+
+TEST(protocol, rejects_unknown_report_enums) {
+  // kind and where are the bytes after the report's id and stream.
+  for (const std::size_t field : {report_at + 12, report_at + 13}) {
+    std::vector<std::uint8_t> wire = done_frame({});
+    wire[field] = 9;
+    frame_splitter splitter;
+    splitter.feed(wire.data(), wire.size());
+    EXPECT_THROW(splitter.next(), protocol_error) << field;
+  }
+}
+
+TEST(protocol, rejects_report_stamps_that_do_not_telescope) {
+  runtime::task_report r;
+  r.admit_ps = 10;
+  r.submit_ps = 20;
+  r.release_ps = 30;
+  r.start_ps = 40;
+  r.complete_ps = 50;
+  {
+    const auto wire = done_frame(r);
+    frame_splitter splitter;
+    splitter.feed(wire.data(), wire.size());
+    EXPECT_TRUE(splitter.next().has_value());
+  }
+  r.release_ps = 45;  // released after it started
+  const auto wire = done_frame(r);
+  frame_splitter splitter;
+  splitter.feed(wire.data(), wire.size());
+  EXPECT_THROW(splitter.next(), protocol_error);
+  EXPECT_EQ(splitter.last_id(), 5u);
 }
 
 TEST(protocol, rejects_trailing_bytes_in_frame) {
@@ -478,14 +572,13 @@ TEST(pim_server, negotiates_protocol_version_on_open) {
   {
     // remote_client's hello lands on the current version.
     remote_client client("127.0.0.1", server.port());
-    EXPECT_EQ(client.negotiated_version(), wire_version);
     EXPECT_EQ(client.allocate(8192, 1).size(), 1u);
   }
   {
     // A client from the future offers more than we speak: the server
-    // answers with its own maximum.
+    // answers with its own version.
     const int fd = connect_raw(server.port());
-    const auto wire = encode_frame(1, hello_req{99}, wire_version_min);
+    const auto wire = encode_frame(1, hello_req{99});
     ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
     std::uint8_t buf[512];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -501,36 +594,14 @@ TEST(pim_server, negotiates_protocol_version_on_open) {
   server.stop();
 }
 
-TEST(pim_server, frames_legacy_clients_at_the_floor_version) {
-  // A client that never sends hello is older than the hello opcode:
-  // the server must answer with frames stamped at the floor version —
-  // the one framing every supported peer parses.
-  pim_server server(small_server_config());
-  server.start();
-  const int fd = connect_raw(server.port());
-  const auto wire = encode_frame(1, open_session_req{}, wire_version_min);
-  ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
-  std::uint8_t buf[512];
-  const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-  ASSERT_GT(n, 8 + 1);
-  EXPECT_EQ(buf[8], wire_version_min);  // version byte after the header
-  frame_splitter splitter;
-  splitter.feed(buf, static_cast<std::size_t>(n));
-  const auto frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_TRUE(std::holds_alternative<opened_resp>(frame->msg));
-  ::close(fd);
-  server.stop();
-}
-
 TEST(pim_server, rejects_mismatched_major_version_with_error_frame) {
   pim_server server(small_server_config());
   server.start();
 
-  // A hello below the server's floor: one clean error frame, then the
-  // connection closes (drain_socket sees EOF after the frame).
+  // A hello below the server's version: one clean error frame, then
+  // the connection closes (drain_socket sees EOF after the frame).
   const int fd = connect_raw(server.port());
-  const auto wire = encode_frame(1, hello_req{0}, wire_version_min);
+  const auto wire = encode_frame(1, hello_req{wire_version - 1});
   ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
   const std::vector<std::uint8_t> reply = drain_socket(fd);
   ::close(fd);

@@ -31,13 +31,16 @@ sim_op_sample make_sample(int group, int op, std::int64_t submit,
   s.group = group;
   s.op = op;
   s.sub = 0;
-  s.backend = backend;
-  s.channel = channel;
-  s.bank = bank;
-  s.output_bytes = 64;
-  s.submit_ps = submit * kTick;
-  s.start_ps = start * kTick;
-  s.complete_ps = complete * kTick;
+  runtime::task_report& r = s.report;
+  r.where = static_cast<runtime::backend_kind>(backend);
+  r.channel = channel;
+  r.bank = bank;
+  r.output_bytes = 64;
+  r.admit_ps = submit * kTick;
+  r.submit_ps = submit * kTick;
+  r.release_ps = start * kTick;
+  r.start_ps = start * kTick;
+  r.complete_ps = complete * kTick;
   return s;
 }
 
@@ -56,7 +59,7 @@ TEST(FoldSamplesTest, SingleTaskOwnsItsWholeInterval) {
   ASSERT_EQ(p.by_op.size(), 1u);
   const op_cost& c = p.by_op.at(3);
   EXPECT_EQ(c.tasks, 1u);
-  EXPECT_EQ(c.queue_ticks, 4u);   // start - submit
+  EXPECT_EQ(c.blocked_ticks, 4u);  // start - submit
   EXPECT_EQ(c.exec_ticks, 16u);   // complete - start
   EXPECT_EQ(c.attributed_ticks, 20u);  // the whole [submit, complete)
   EXPECT_EQ(p.total_attributed_ticks, 20u);
@@ -136,7 +139,7 @@ TEST(FoldSamplesTest, DeterministicUnderInputPermutation) {
   ASSERT_EQ(a.by_op.size(), b.by_op.size());
   for (const auto& [op, c] : a.by_op) {
     EXPECT_EQ(c.attributed_ticks, b.by_op.at(op).attributed_ticks) << op;
-    EXPECT_EQ(c.queue_ticks, b.by_op.at(op).queue_ticks) << op;
+    EXPECT_EQ(c.blocked_ticks, b.by_op.at(op).blocked_ticks) << op;
   }
 }
 
@@ -145,48 +148,6 @@ TEST(FoldSamplesTest, ZeroDurationTasksCountWorkButNoTicks) {
   EXPECT_EQ(p.total_tasks, 1u);
   EXPECT_EQ(p.total_attributed_ticks, 0u);
   EXPECT_EQ(p.by_op.at(0).tasks, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// samples_from_trace
-// ---------------------------------------------------------------------------
-
-TEST(SamplesFromTraceTest, RebuildsLaneSamplesFromCompleteEvents) {
-  std::vector<track_info> tracks(2);
-  tracks[0].id = 7;
-  tracks[0].pid = 2;  // shard 2's clock
-  tracks[0].thread = "ch 1 bank 5";
-  tracks[0].domain = clock_domain::sim;
-  tracks[1].id = 8;
-  tracks[1].pid = 0;
-  tracks[1].thread = "writer";  // host-side track: ignored
-  tracks[1].domain = clock_domain::host;
-
-  trace_event lane;
-  lane.kind = event_kind::complete;
-  lane.track = 7;
-  lane.name = "ambit";
-  lane.cat = "task";
-  lane.ts = 10 * kTick;
-  lane.dur = 16 * kTick;
-  lane.arg_name = "output_bytes";
-  lane.arg = 4096;
-  trace_event host = lane;
-  host.track = 8;  // wrong track: must be dropped
-
-  const auto samples = samples_from_trace({lane, host}, tracks);
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].group, 2);
-  EXPECT_EQ(samples[0].channel, 1);
-  EXPECT_EQ(samples[0].bank, 5);
-  EXPECT_EQ(samples[0].backend, 0);  // ambit
-  EXPECT_EQ(samples[0].output_bytes, 4096u);
-  EXPECT_EQ(samples[0].complete_ps - samples[0].submit_ps, 16 * kTick);
-
-  // And the fold of a trace-rebuilt sample is exact like any other.
-  const auto p = fold_samples(samples, kTick);
-  EXPECT_EQ(p.total_attributed_ticks, 16u);
-  EXPECT_EQ(p.by_lane.at({1, 5}).attributed_ticks, 16u);
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ TEST(catalog, ids_are_stable_and_formatted) {
   EXPECT_EQ(id_of(diag::unknown_dependency), "V201");
   EXPECT_EQ(id_of(diag::operand_size_mismatch), "V206");
   EXPECT_EQ(id_of(diag::opcode_range), "V301");
-  EXPECT_EQ(id_of(diag::version_bounds), "V304");
 }
 
 TEST(catalog, every_entry_has_info) {

@@ -33,6 +33,7 @@
 #include "common/config.h"
 #include "net/client.h"
 #include "obs/metrics.h"
+#include "service/service.h"
 
 namespace {
 
@@ -116,9 +117,17 @@ std::string render_dashboard(const stats_view& view, std::uint64_t seq) {
       << " output=" << view.counter("service.output_bytes") << "B"
       << " ticks=" << view.counter("service.total_ticks")
       << " energy=" << view.counter("service.energy_pj") << "pJ\n";
-  out << "moved: insitu=" << view.counter("service.moved_bytes_insitu")
-      << "B offchip=" << view.counter("service.moved_bytes_offchip")
-      << "B wire=" << view.counter("service.moved_bytes_wire") << "B\n";
+  // The moved: and waits: lines list the service meters of each kind.
+  const auto counter = [&view](const pim::service::sched_meter& m) {
+    return view.counter(std::string("service.") + m.name);
+  };
+  out << "moved:";
+  for (const auto& m : pim::service::sched_meters) {
+    if (m.kind == pim::service::meter_kind::moved) {
+      out << " " << m.label << "=" << counter(m) << "B";
+    }
+  }
+  out << "\n";
   auto lat = view.hists.find("service.latency_ns");
   if (lat != view.hists.end()) {
     out << "latency: count=" << lat->second.count
@@ -132,27 +141,22 @@ std::string render_dashboard(const stats_view& view, std::uint64_t seq) {
   out << "slow requests observed: "
       << view.counter("service.slow_requests_observed") << "\n";
 
-  // Wait-state attribution: the five classes partition aggregate task
-  // lifetime exactly, so the shares below always total 100%.
-  const std::uint64_t lifetime = view.counter("service.task_lifetime_ps");
-  out << "waits:";
-  if (lifetime == 0) {
-    out << " (no completed tasks yet)\n\n";
-  } else {
-    const std::pair<const char*, const char*> states[] = {
-        {"admission", "service.wait_admission_ps"},
-        {"hazard", "service.wait_hazard_ps"},
-        {"bank", "service.wait_bank_ps"},
-        {"exec", "service.exec_ps"},
-        {"wire", "service.wire_ps"},
-    };
-    for (const auto& [label, name] : states) {
-      const std::uint64_t v = view.counter(name);
-      out << " " << label << "=" << v << "ps(" << (v * 100 / lifetime)
-          << "%)";
-    }
-    out << "\n\n";
+  // Wait-state attribution: the wait meters partition aggregate task
+  // lifetime exactly, so their sum is the lifetime and the shares
+  // below always total 100%.
+  std::uint64_t lifetime = 0;
+  for (const auto& m : pim::service::sched_meters) {
+    if (m.kind == pim::service::meter_kind::wait) lifetime += counter(m);
   }
+  out << "waits:";
+  if (lifetime == 0) out << " (no completed tasks yet)";
+  for (const auto& m : pim::service::sched_meters) {
+    if (lifetime == 0 || m.kind != pim::service::meter_kind::wait) continue;
+    const std::uint64_t v = counter(m);
+    out << " " << m.label << "=" << v << "ps(" << (v * 100 / lifetime)
+        << "%)";
+  }
+  out << "\n\n";
 
   out << "shard  queue  inflight  sessions  busy-banks  energy-pJ\n";
   for (int s = 0;; ++s) {
