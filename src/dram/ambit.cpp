@@ -47,6 +47,16 @@ std::vector<bulk_vector> ambit_allocator::allocate_group(bits size,
   const auto rows_needed =
       static_cast<std::size_t>((size + row_bits - 1) / row_bits);
   if (rows_needed == 0) throw std::invalid_argument("allocate_group: empty");
+  // Refuse before building anything: the `count` slots of each row
+  // index share one subarray, and the whole group must fit the free
+  // slots.
+  if (count > layout_.data_rows()) {
+    throw std::invalid_argument(
+        "allocate_group: count exceeds one subarray's data rows");
+  }
+  if (rows_needed > free_slots() / static_cast<std::size_t>(count)) {
+    throw std::invalid_argument("allocate_group: exceeds free capacity");
+  }
 
   std::vector<bulk_vector> group(static_cast<std::size_t>(count));
   for (auto& v : group) {

@@ -47,8 +47,10 @@ class ambit_allocator {
   /// the i-th rows of all vectors share one subarray; consecutive row
   /// indices rotate across (channel, rank, bank, subarray) for
   /// bank-level parallelism. Freed slots are recycled before fresh
-  /// capacity is consumed. Throws std::bad_alloc-like logic on
-  /// capacity exhaustion.
+  /// capacity is consumed. Throws std::invalid_argument, before
+  /// reserving anything, when `count` exceeds one subarray's data rows
+  /// or the group exceeds the free capacity; std::runtime_error when
+  /// the free slots are too fragmented to place it.
   std::vector<bulk_vector> allocate_group(bits size, int count);
 
   /// Returns every row of `group` to the free pool for reuse by later

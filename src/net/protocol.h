@@ -203,8 +203,8 @@ struct done_resp {
 
 struct waited_resp {};
 
-/// Service-wide telemetry, encoded as the same JSON document
-/// pim_service::write_json produces.
+/// Service-wide telemetry: a JSON document whose "service" object is
+/// service_stats::to_json of pim_service::stats().
 struct stats_resp {
   std::string json;
 };

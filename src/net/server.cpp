@@ -192,9 +192,21 @@ void pim_server::reap_finished_locked() {
 
 namespace {
 
+/// Encodes one response frame. A response too large to frame (a read
+/// past max_frame_bytes) is answered with an error for its id instead,
+/// and the connection stays open.
+std::vector<std::uint8_t> encode_response(std::uint64_t id,
+                                          const net_message& msg) {
+  try {
+    return encode_frame(id, msg);
+  } catch (const protocol_error& e) {
+    return encode_frame(id, error_resp{e.what()});
+  }
+}
+
 void enqueue_frame(connection_demux& dx, std::uint64_t id,
                    const net_message& msg) {
-  std::vector<std::uint8_t> frame = encode_frame(id, msg);
+  std::vector<std::uint8_t> frame = encode_response(id, msg);
   {
     std::lock_guard<std::mutex> lock(dx.mu);
     dx.outgoing.push_back(std::move(frame));
@@ -361,7 +373,7 @@ void writer_loop(int fd, std::shared_ptr<connection_demux> dx,
       lock.unlock();
       stats_push_resp push = build_stats_push(*svc, baseline, seq, final_push);
       std::vector<std::uint8_t> frame =
-          encode_frame(watch_id, std::move(push));
+          encode_response(watch_id, std::move(push));
       lock.lock();
       // A new watch may have replaced this one while the snapshot was
       // being built; its own epoch turn will acknowledge it.
@@ -386,7 +398,8 @@ void writer_loop(int fd, std::shared_ptr<connection_demux> dx,
       connection_demux::pending p = std::move(it->second);
       dx->inflight.erase(it);
       lock.unlock();
-      std::vector<std::uint8_t> frame = encode_frame(id, build_response(p));
+      std::vector<std::uint8_t> frame =
+          encode_response(id, build_response(p));
       lock.lock();
       dx->outgoing.push_back(std::move(frame));
     }

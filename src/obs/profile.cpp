@@ -159,11 +159,6 @@ void slow_request_log::set_capacity(std::size_t n) {
   while (ring_.size() > capacity_) ring_.pop_front();
 }
 
-std::size_t slow_request_log::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void slow_request_log::observe(slow_request r) {
   observed_.fetch_add(1, std::memory_order_relaxed);
   if (r.spans.empty() && tracer::instance().enabled() && r.flow != 0) {

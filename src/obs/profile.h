@@ -159,7 +159,6 @@ class slow_request_log {
 
   /// Ring capacity; shrinking drops oldest entries immediately.
   void set_capacity(std::size_t n);
-  std::size_t capacity() const;
 
   /// Retains `r`, evicting the oldest entry when full. When the
   /// tracer is enabled and `r.spans` is empty, captures every traced

@@ -274,18 +274,6 @@ void emit_instant(const char* name, const char* cat, std::uint64_t flow) {
   t.record(e);
 }
 
-void emit_counter(std::uint32_t track, const char* name, std::int64_t value) {
-  tracer& t = tracer::instance();
-  if (!t.enabled()) return;
-  trace_event e;
-  e.kind = event_kind::counter;
-  e.track = track;
-  e.name = name;
-  e.ts = t.now_host_ns();
-  e.arg = value;
-  t.record(e);
-}
-
 namespace {
 
 void emit_flow(event_kind kind, std::uint64_t flow, const char* name,

@@ -163,7 +163,6 @@ inline std::uint64_t new_flow() { return tracer::instance().next_flow(); }
 inline constexpr std::size_t max_events_per_thread = 1u << 20;
 
 void emit_instant(const char* name, const char* cat, std::uint64_t flow = 0);
-void emit_counter(std::uint32_t track, const char* name, std::int64_t value);
 void emit_flow_begin(std::uint64_t flow, const char* name, const char* cat);
 void emit_flow_step(std::uint64_t flow, const char* name, const char* cat);
 void emit_flow_end(std::uint64_t flow, const char* name, const char* cat);

@@ -23,23 +23,6 @@ task_future pim_runtime::submit_bulk(dram::bulk_op op,
   return submit(make_bulk_task(op, a, b, d, stream));
 }
 
-task_future pim_runtime::submit_copy(const dram::address& src,
-                                     const dram::address& dst,
-                                     bool same_subarray, int stream) {
-  pim_task task;
-  task.payload = row_copy_args{src, dst, same_subarray};
-  task.stream = stream;
-  return submit(std::move(task));
-}
-
-task_future pim_runtime::submit_memset(const dram::address& dst, bool ones,
-                                       int stream) {
-  pim_task task;
-  task.payload = row_memset_args{dst, ones};
-  task.stream = stream;
-  return submit(std::move(task));
-}
-
 task_future pim_runtime::submit_kernel(const core::kernel_profile& profile,
                                        int stream) {
   pim_task task;

@@ -38,10 +38,6 @@ class pim_runtime {
   task_future submit_bulk(dram::bulk_op op, const dram::bulk_vector& a,
                           const dram::bulk_vector* b,
                           const dram::bulk_vector& d, int stream = 0);
-  task_future submit_copy(const dram::address& src, const dram::address& dst,
-                          bool same_subarray, int stream = 0);
-  task_future submit_memset(const dram::address& dst, bool ones,
-                            int stream = 0);
   task_future submit_kernel(const core::kernel_profile& profile,
                             int stream = 0);
 

@@ -54,6 +54,17 @@ void scheduler::collect_rows(const pim_task& task,
   }
 }
 
+bool scheduler::row_busy(std::uint64_t key) const {
+  auto writer = last_writer_.find(key);
+  if (writer != last_writer_.end() && active_.count(writer->second) != 0) {
+    return true;
+  }
+  auto readers = readers_.find(key);
+  return readers != readers_.end() &&
+         std::any_of(readers->second.begin(), readers->second.end(),
+                     [this](task_id t) { return active_.count(t) != 0; });
+}
+
 task_future scheduler::submit(pim_task task, backend_kind where,
                               core::offload_decision decision) {
   validate(task, where);
@@ -257,8 +268,9 @@ void scheduler::release(task_id id) {
 }
 
 void scheduler::set_stream_weight(int stream, double weight) {
-  if (weight <= 0.0) {
-    throw std::invalid_argument("scheduler: stream weight must be positive");
+  if (!valid_weight(weight)) {
+    throw std::invalid_argument(
+        "scheduler: stream weight must be finite and positive");
   }
   stream_weight_[stream] = weight;
   // A stream joining mid-run starts at the current service position so

@@ -16,6 +16,7 @@
 #ifndef PIM_RUNTIME_SCHEDULER_H
 #define PIM_RUNTIME_SCHEDULER_H
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,6 +36,13 @@ struct scheduler_config {
   int ndp_slots = 4;        // concurrent logic-layer kernel executions
   cycles max_wait_cycles = 200'000'000;  // wait() watchdog
 };
+
+/// The test every fair-share weight passes — stream weights here,
+/// session weights in the service: finite and positive. An infinite or
+/// NaN weight would reach stride scheduling as a 1/weight of 0 or NaN.
+inline bool valid_weight(double weight) {
+  return std::isfinite(weight) && weight > 0.0;
+}
 
 /// Counters the scheduler accumulates while ticking.
 struct scheduler_stats {
@@ -109,8 +117,9 @@ class scheduler {
     completion_hook_ = std::move(hook);
   }
 
-  /// Gives `stream` a fair-share weight (> 0). While any weight is set,
-  /// ready tasks waiting for an executor slot (host / ndp_logic
+  /// Gives `stream` a fair-share weight (see valid_weight; throws
+  /// std::invalid_argument otherwise). While any weight is set, ready
+  /// tasks waiting for an executor slot (host / ndp_logic
   /// backends) are popped by stride scheduling — each stream's share of
   /// pops is proportional to its weight, and every stream makes
   /// progress (no starvation) — instead of globally FIFO. Streams
@@ -122,6 +131,21 @@ class scheduler {
   void set_stream_weight(int stream, double weight);
 
   const scheduler_stats& stats() const { return stats_; }
+
+  /// Tasks submitted and not yet completed.
+  std::size_t outstanding() const { return outstanding_; }
+
+  /// True while an active (submitted, not yet completed) task reads or
+  /// writes row `key` (memory_system::row_key). The hazard tables keep
+  /// only a row's last writer and the readers since it; a task they
+  /// dropped is a dependency of the writer that superseded it, and that
+  /// writer stays active at least as long.
+  bool row_busy(std::uint64_t key) const;
+
+  /// Appends the row keys `task` reads and writes — the rows its
+  /// hazards are tracked on.
+  void collect_rows(const pim_task& task, std::vector<std::uint64_t>& reads,
+                    std::vector<std::uint64_t>& writes) const;
 
   /// Names this scheduler's simulated-time trace process (one per
   /// shard: "shard N sim"). Without it the first traced task
@@ -150,8 +174,6 @@ class scheduler {
   };
 
   void validate(const pim_task& task, backend_kind where) const;
-  void collect_rows(const pim_task& task, std::vector<std::uint64_t>& reads,
-                    std::vector<std::uint64_t>& writes) const;
   task_id pop_ready(executor_pool& pool);
   void release(task_id id);
   void start_on_executor(executor_pool& pool, task_id id);

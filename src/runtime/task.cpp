@@ -2,16 +2,6 @@
 
 namespace pim::runtime {
 
-std::string to_string(task_kind kind) {
-  switch (kind) {
-    case task_kind::bulk_bool: return "bulk_bool";
-    case task_kind::row_copy: return "row_copy";
-    case task_kind::row_memset: return "row_memset";
-    case task_kind::host_kernel: return "host_kernel";
-  }
-  throw std::logic_error("unknown task kind");
-}
-
 pim_task make_bulk_task(dram::bulk_op op, const dram::bulk_vector& a,
                         const dram::bulk_vector* b,
                         const dram::bulk_vector& d, int stream) {

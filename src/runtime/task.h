@@ -33,7 +33,6 @@ enum class task_kind { bulk_bool, row_copy, row_memset, host_kernel };
 /// `host` is the CPU fallback.
 enum class backend_kind { ambit, rowclone, ndp_logic, host };
 
-std::string to_string(task_kind kind);
 std::string to_string(backend_kind backend);
 
 /// d = op(a[, b]); b is meaningful only for binary ops.

@@ -74,9 +74,6 @@ class service_client final : public client_api {
   /// check.
   std::uint64_t digest() override;
 
-  /// Futures handed out so far (cleared by wait_all).
-  std::size_t pending() const { return pending_.size(); }
-
  private:
   request make_request(request_payload payload) const;
 

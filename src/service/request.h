@@ -77,31 +77,23 @@ struct run_task_args {
   runtime::pim_task task;
 };
 
-/// One operand of a cross-shard plan: the owning session, the virtual
-/// vector handle, and — for operands fetched from a remote shard in
-/// phase one — the exported bits.
-struct cross_operand {
-  session_id owner = 0;
-  dram::bulk_vector v;
-  std::optional<bitvector> bits;
-};
-
 /// Phase two of a cross-shard plan, executed on the shard the planner
-/// chose: stage every input into a co-located scratch group (RowClone
-/// PSM pricing per row), run the compute there, then hand the result
-/// to the destination's owner shard as a stage_in.
+/// chose: stage every input — each one's bits fetched from its owner
+/// in phase one — into a co-located scratch group (RowClone PSM
+/// pricing per row), run the compute there, then hand the result to
+/// the destination's owner shard as a stage_in.
 struct stage_run_args {
   dram::bulk_op op = dram::bulk_op::not_op;
-  cross_operand a;
-  std::optional<cross_operand> b;
+  bitvector a;
+  std::optional<bitvector> b;
   session_id d_owner = 0;
   dram::bulk_vector d;
   /// Destination owner's shard, resolved by the planner. Valid for the
   /// plan's lifetime: the service pins every involved session against
   /// migration until the plan's guard is released.
   shard* d_shard = nullptr;
-  /// The plan's reservation token (see reserve_args). Lets this
-  /// request read rows its own plan reserved (in-place d = op(d, ...)).
+  /// The plan's reservation token (see reserve_args), cleared here if
+  /// the plan fails before its write-back.
   std::uint64_t token = 0;
   /// Releases the plan's anti-migration pins when destroyed.
   std::shared_ptr<void> guard;

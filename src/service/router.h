@@ -16,19 +16,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 namespace pim::service {
 
 enum class shard_routing { hash, range };
-
-inline std::string to_string(shard_routing mode) {
-  switch (mode) {
-    case shard_routing::hash: return "hash";
-    case shard_routing::range: return "range";
-  }
-  throw std::logic_error("unknown shard routing");
-}
 
 class shard_router {
  public:
@@ -65,7 +56,6 @@ class shard_router {
   }
 
   int shards() const { return shards_; }
-  shard_routing mode() const { return mode_; }
 
  private:
   // splitmix64 finalizer: sequential session ids spread uniformly.

@@ -146,6 +146,12 @@ void pim_service::resume() {
 }
 
 session_info pim_service::open_session(double weight) {
+  // Checked before an id is minted, so a refused weight leaves no
+  // routable record behind.
+  if (!runtime::valid_weight(weight)) {
+    throw std::invalid_argument(
+        "pim_service: session weight must be finite and positive");
+  }
   const session_id id = next_session_.fetch_add(1);
   const int shard_index = router_.route(id);
   {
@@ -159,10 +165,6 @@ session_info pim_service::open_session(double weight) {
   return {id, shard_index};
 }
 
-shard& pim_service::shard_of(session_id id) {
-  return *shards_[static_cast<std::size_t>(owner_shard(id))];
-}
-
 int pim_service::owner_shard(session_id id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(id);
@@ -172,20 +174,14 @@ int pim_service::owner_shard(session_id id) const {
   return it->second.shard;
 }
 
-double pim_service::session_weight(session_id id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    throw std::invalid_argument("pim_service: unknown session");
-  }
-  return it->second.weight;
-}
-
-request_future pim_service::route(request& r) {
+request_future pim_service::route(request& r, bool pinned) {
   // Retry-on-moved loop: while the session is mid-migration the
   // request waits on migrate_cv_ (only this session's traffic stalls —
-  // migration holds the service-wide gate just for its brief
-  // detach window, not for the copy itself).
+  // migration holds the service-wide gate just for its brief detach
+  // window, not for the copy itself). A request issued inside a
+  // cross-shard plan skips that wait: the plan has pinned its
+  // sessions, migration cannot proceed past its pin-quiesce while the
+  // pin is held, and waiting here would deadlock against it.
   for (int attempts = 0;; ++attempts) {
     shard* s = nullptr;
     {
@@ -194,7 +190,7 @@ request_future pim_service::route(request& r) {
       if (it == sessions_.end()) {
         throw std::invalid_argument("pim_service: unknown session");
       }
-      if (it->second.migrating) {
+      if (it->second.migrating && !pinned) {
         migrate_cv_.wait(lock, [&] {
           auto it2 = sessions_.find(r.session);
           return it2 == sessions_.end() || !it2->second.migrating;
@@ -204,39 +200,13 @@ request_future pim_service::route(request& r) {
       s = shards_[static_cast<std::size_t>(it->second.shard)].get();
     }
     try {
-      return s->enqueue_move(r);
+      return s->enqueue(r);
     } catch (const session_moved_error&) {
       if (attempts > 1000) {
         // Moved but never re-homed: a migration died mid-flight
         // (service shutdown). Fail rather than spin forever.
         throw std::runtime_error("pim_service: session unavailable");
       }
-      continue;
-    }
-  }
-}
-
-request_future pim_service::route_pinned(request& r) {
-  // Variant for requests issued inside a cross-shard plan, whose
-  // sessions the plan has pinned: migration cannot proceed past its
-  // pin-quiesce while the pin is held, so waiting on the migrating
-  // flag here would deadlock against a migration waiting on our pin.
-  // The home shard is stable for the same reason.
-  for (;;) {
-    shard* s = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = sessions_.find(r.session);
-      if (it == sessions_.end()) {
-        throw std::invalid_argument("pim_service: unknown session");
-      }
-      s = shards_[static_cast<std::size_t>(it->second.shard)].get();
-    }
-    try {
-      return s->enqueue_move(r);
-    } catch (const session_moved_error&) {
-      // Unreachable while pinned (no detach can run); retry defensively.
-      continue;
     }
   }
 }
@@ -271,7 +241,7 @@ std::vector<dram::bulk_vector> pim_service::allocate(session_id session,
   request r;
   r.session = session;
   r.payload = allocate_args{size, count, base};
-  request_future f = route_pinned(r);
+  request_future f = route(r, /*pinned=*/true);
   std::vector<dram::bulk_vector> vectors = f.get().vectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -315,7 +285,7 @@ std::optional<request_future> pim_service::try_submit(request r) {
       s = shards_[static_cast<std::size_t>(it->second.shard)].get();
     }
     try {
-      return s->try_enqueue_move(r);
+      return s->try_enqueue(r);
     } catch (const session_moved_error&) {
       continue;
     }
@@ -464,7 +434,7 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
     request res;
     res.session = d.owner;
     res.payload = reserve_args{token, d.v};
-    route_pinned(res);
+    route(res, /*pinned=*/true);
   }
 
   try {
@@ -478,17 +448,15 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
       request r;
       r.session = sv.owner;
       r.payload = read_args{sv.v, /*priced=*/true, token};
-      return route_pinned(r);
+      return route(r, /*pinned=*/true);
     };
     request_future fa = fetch(a);
     std::optional<request_future> fb;
     if (b != nullptr) fb = fetch(*b);
 
-    cross_operand ca{a.owner, a.v, fa.get().data};
-    std::optional<cross_operand> cb;
-    if (b != nullptr) {
-      cb = cross_operand{b->owner, b->v, fb->get().data};
-    }
+    stage_run_args sr;
+    sr.a = fa.get().data;
+    if (b != nullptr) sr.b = fb->get().data;
     plan_order.unlock();  // fetches done: later plans may proceed
 
     // Phase two (+ the write-back phase three) run on the exec shard's
@@ -501,17 +469,14 @@ request_future pim_service::submit_cross(session_id issuer, dram::bulk_op op,
     request r;
     r.session = issuer;
     r.completion = std::move(completion);
-    stage_run_args sr;
     sr.op = op;
-    sr.a = std::move(ca);
-    sr.b = std::move(cb);
     sr.d_owner = d.owner;
     sr.d = d.v;
     sr.d_shard = d_home;
     sr.token = token;
     sr.guard = std::move(guard);
     r.payload = std::move(sr);
-    return exec_shard->enqueue_move(r);
+    return exec_shard->enqueue(r);
   } catch (...) {
     // The plan died before a write-back could clear the reservation —
     // release it so the destination owner's queue does not stall.
@@ -771,16 +736,6 @@ service_stats pim_service::stats() const {
     }
   }
   return total;
-}
-
-void pim_service::write_json(const std::string& path) const {
-  json_writer json;
-  json.begin_object();
-  json.key("service").begin_object();
-  stats().to_json(json);
-  json.end_object();
-  json.end_object();
-  json.write_file(path);
 }
 
 }  // namespace pim::service

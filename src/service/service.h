@@ -204,7 +204,9 @@ class pim_service {
 
   /// Opens a session: assigns an id, routes it to a home shard,
   /// registers its fair-share weight, and creates its entry in the
-  /// vector-ownership directory. Thread-safe.
+  /// vector-ownership directory. Thread-safe. Throws
+  /// std::invalid_argument, minting no id, unless the weight is finite
+  /// and positive (runtime::valid_weight).
   session_info open_session(double weight = 1.0);
 
   /// Allocates `count` co-located bulk vectors for `session` on its
@@ -260,23 +262,14 @@ class pim_service {
   /// called periodically from a control loop.
   int rebalance(double threshold = 1.5, std::size_t min_backlog = 16);
 
-  /// The shard that currently owns `id`'s vectors; throws for unknown
-  /// sessions.
-  shard& shard_of(session_id id);
+  /// The index of the shard that currently owns `id`'s vectors;
+  /// throws for unknown sessions.
   int owner_shard(session_id id) const;
 
-  /// The session's fair-share weight as recorded at open_session.
-  double session_weight(session_id id) const;
-
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  shard& shard_at(int index) { return *shards_[static_cast<std::size_t>(index)]; }
   const service_config& config() const { return config_; }
 
   service_stats stats() const;
-
-  /// Writes `stats()` as a standalone JSON document (BENCH_service.json
-  /// style).
-  void write_json(const std::string& path) const;
 
  private:
   struct session_record {
@@ -289,11 +282,12 @@ class pim_service {
     std::vector<std::vector<dram::bulk_vector>> groups;
   };
 
-  request_future route(request& r);
-  /// route() for plan-internal requests whose sessions are pinned: no
-  /// migrating-flag wait (a migration stuck in pin-quiesce would
-  /// otherwise deadlock against the pin-holding plan).
-  request_future route_pinned(request& r);
+  /// Admits `r` on its session's current shard, retrying while the
+  /// session migrates. `pinned`: the request belongs to a cross-shard
+  /// plan that pinned its sessions, so it must not wait on the
+  /// migrating flag (a migration stuck in pin-quiesce would otherwise
+  /// deadlock against the pin-holding plan).
+  request_future route(request& r, bool pinned = false);
   /// Pins `sessions` against migration for the life of the returned
   /// guard (released by the plan's final completion, on any path).
   /// Caller holds mu_: the pin must be atomic with resolving the

@@ -17,6 +17,17 @@ constexpr const char* payload_span_names[] = {
     "allocate", "write",   "read",    "run_task", "stage_run",
     "stage_in", "install", "forget",  "reserve",  "clear"};
 
+/// Runtime tasks released at once.
+constexpr std::size_t max_inflight = 64;
+/// Runtime tasks one session may hold in flight. A deep serial chain
+/// is hazard-deferred anyway, so letting one tenant fill the whole
+/// inflight window just starves everyone else's bank parallelism (a
+/// convoy that shows up when a migrated session's forwarded backlog
+/// lands on a quiet shard).
+constexpr int session_max_inflight = 8;
+/// DRAM clocks advanced per worker iteration.
+constexpr int ticks_per_slice = 128;
+
 /// Admission stamp for wait-state attribution: a run_task request
 /// records the shard's simulated clock (a relaxed mirror — may lag,
 /// never leads) at the instant it enters the admission queue. The
@@ -29,6 +40,29 @@ void stamp_admission(request& r, picoseconds now) {
   }
 }
 
+/// The completion state `r` reports through, created on its first
+/// admission attempt: a retried or forwarded request keeps its own, so
+/// its latency still counts from the first submit.
+std::shared_ptr<request_state> attach(request& r) {
+  if (r.completion == nullptr) {
+    r.completion = std::make_shared<request_state>();
+  }
+  return r.completion;
+}
+
+/// Applies `data`'s row_index-th row_bits-sized slice to a physical
+/// row — the same packing write_vector/read_vector use.
+void write_row_slice(dram::memory_system& mem, const dram::address& phys,
+                     const bitvector& data, std::size_t row_index) {
+  const bits row_bits = mem.org().row_bits();
+  bitvector& row = mem.row(phys);
+  for (std::size_t i = 0; i < row_bits; ++i) {
+    const std::size_t bit = row_index * row_bits + i;
+    if (bit >= data.size()) break;
+    row.set(i, data.get(bit));
+  }
+}
+
 }  // namespace
 
 shard::shard(int index, const core::pim_system_config& system_config,
@@ -36,9 +70,6 @@ shard::shard(int index, const core::pim_system_config& system_config,
     : index_(index), config_(config), sys_(system_config) {
   config_.session_queue_capacity =
       std::max<std::size_t>(1, config_.session_queue_capacity);
-  config_.max_inflight = std::max(1, config_.max_inflight);
-  config_.session_max_inflight = std::max(1, config_.session_max_inflight);
-  config_.ticks_per_slice = std::max(1, config_.ticks_per_slice);
   stats_.shard = index;
   sys_.runtime().sched().set_trace_process("shard " + std::to_string(index) +
                                            " sim");
@@ -50,28 +81,29 @@ shard::shard(int index, const core::pim_system_config& system_config,
   // really allows, instead of artificially WAW-serializing every
   // migration and staging copy behind a single landing row. The
   // allocator's bank-fastest striping covers every (channel, bank)
-  // within the first banks*channels single-row allocations.
+  // within the first banks*channels single-row allocations. A channel
+  // needs at least two (rank, bank) pairs, so every row has a partner
+  // outside its own bank.
   const dram::organization& org = sys_.org();
+  const auto wanted = static_cast<std::size_t>(std::max(2, org.banks));
   const int attempts = 2 * org.banks * org.channels * std::max(1, org.ranks);
   std::map<int, std::set<std::pair<int, int>>> covered;
-  bool done = false;
-  for (int i = 0; i < attempts && !done; ++i) {
-    std::vector<dram::bulk_vector> row;
-    try {
-      row = sys_.allocate(org.row_bits(), 1);
-    } catch (const std::exception&) {
-      break;  // out of capacity: price what we can
+  auto all_covered = [&](std::size_t n) {
+    for (int c = 0; c < org.channels; ++c) {
+      if (covered[c].size() < n) return false;
     }
-    const dram::address& a = row[0].rows[0];
+    return true;
+  };
+  for (int i = 0; i < attempts && !all_covered(wanted); ++i) {
+    const dram::address a = sys_.allocate(org.row_bits(), 1)[0].rows[0];
     if (covered[a.channel].insert({a.rank, a.bank}).second) {
       wire_[a.channel].push_back(a);
     }
-    done = true;
-    for (int c = 0; c < org.channels; ++c) {
-      if (covered[c].size() < static_cast<std::size_t>(org.banks)) {
-        done = false;
-      }
-    }
+  }
+  if (!all_covered(2)) {
+    throw std::invalid_argument(
+        "shard: every channel needs rows in two (rank, bank) pairs to price "
+        "inter-shard transfers");
   }
 }
 
@@ -117,8 +149,9 @@ void shard::resume() {
 }
 
 void shard::register_session(session_id id, double weight) {
-  if (weight <= 0.0) {
-    throw std::invalid_argument("shard: session weight must be positive");
+  if (!runtime::valid_weight(weight)) {
+    throw std::invalid_argument(
+        "shard: session weight must be finite and positive");
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) throw std::runtime_error("shard: stopped");
@@ -160,130 +193,113 @@ detached_session shard::detach_session(session_id id) {
   return out;
 }
 
-request_future shard::enqueue_move(request& r) {
-  auto state = r.completion != nullptr ? r.completion
-                                       : std::make_shared<request_state>();
-  r.completion = state;
-  request_future future(state);
+shard::session_state& shard::session_locked(session_id id) {
+  // Not registered *here*: the service-level directory is the authority
+  // on session existence; at shard level this is a stale resolution
+  // racing a migration (the session may be mid-install on this very
+  // shard).
+  auto it = sessions_.find(id);
+  if (it == sessions_.end() || it->second.moved) throw session_moved_error();
+  return it->second;
+}
+
+bool shard::admit_locked(request& r, session_state* s, bool stamp) {
+  if (stop_) {
+    ++stats_.requests_failed;
+    return false;
+  }
+  std::deque<request>& queue = s != nullptr ? s->queue : control_queue_;
+  if (s != nullptr && queue.empty()) {
+    // Stride re-entry rule: a session resuming after an idle spell is
+    // floored to the current service position — it must not replay
+    // the share it did not use.
+    s->pass = std::max(s->pass, virtual_pass_);
+  }
+  if (stamp) stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
+  queue.push_back(std::move(r));
+  ++total_queued_;
+  ++stats_.requests_enqueued;
+  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+  return true;
+}
+
+void shard::settle(request_state& state, bool queued) {
+  if (queued) {
+    cv_worker_.notify_one();
+  } else {
+    fail(state, "shard stopped");
+  }
+}
+
+request_future shard::enqueue(request& r) {
+  const std::shared_ptr<request_state> state = attach(r);
+  bool queued = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = sessions_.find(r.session);
-    if (it == sessions_.end()) {
-      // Not registered *here*. The service-level directory is the
-      // authority on session existence; at shard level this is a stale
-      // resolution racing a migration (the session may be mid-install
-      // on this very shard) — signal the router to re-resolve.
-      throw session_moved_error();
-    }
-    session_state& s = it->second;
-    if (s.moved) throw session_moved_error();
+    session_state& s = session_locked(r.session);
     if (!stop_ && s.queue.size() >= config_.session_queue_capacity) {
       ++stats_.enqueue_waits;
       cv_space_.wait(lock, [&] {
         return stop_ || s.moved ||
                s.queue.size() < config_.session_queue_capacity;
       });
+      if (s.moved) throw session_moved_error();
     }
-    if (s.moved) throw session_moved_error();
-    if (stop_) {
-      ++stats_.requests_failed;
-      lock.unlock();
-      fail(*state, "shard stopped");
-      return future;
-    }
-    if (s.queue.empty()) {
-      // Stride re-entry rule: a session resuming after an idle spell
-      // is floored to the current service position — it must not
-      // replay the share it did not use.
-      s.pass = std::max(s.pass, virtual_pass_);
-    }
-    stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
-    s.queue.push_back(std::move(r));
-    ++total_queued_;
-    ++stats_.requests_enqueued;
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    queued = admit_locked(r, &s);
   }
-  cv_worker_.notify_one();
-  return future;
+  settle(*state, queued);
+  return request_future(state);
 }
 
-std::optional<request_future> shard::try_enqueue_move(request& r) {
-  auto state = r.completion != nullptr ? r.completion
-                                       : std::make_shared<request_state>();
-  r.completion = state;
+std::optional<request_future> shard::try_enqueue(request& r) {
+  request_future future(attach(r));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(r.session);
-    if (it == sessions_.end()) {
-      throw session_moved_error();  // stale resolution: re-resolve
-    }
-    session_state& s = it->second;
-    if (s.moved) throw session_moved_error();
+    session_state& s = session_locked(r.session);
     if (stop_ || s.queue.size() >= config_.session_queue_capacity) {
       ++stats_.requests_rejected;
       return std::nullopt;
     }
-    if (s.queue.empty()) {
-      // Stride re-entry rule; see enqueue().
-      s.pass = std::max(s.pass, virtual_pass_);
-    }
-    stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
-    s.queue.push_back(std::move(r));
-    ++total_queued_;
-    ++stats_.requests_enqueued;
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    admit_locked(r, &s);  // cannot fail: the shard is running
   }
   cv_worker_.notify_one();
-  return request_future(state);
+  return future;
 }
 
 request_future shard::enqueue_control(request r) {
   // A request arriving with a completion state keeps it: the write-back
   // leg of a cross-shard plan carries the client's original future.
-  auto state = r.completion != nullptr ? r.completion
-                                       : std::make_shared<request_state>();
-  r.completion = state;
-  request_future future(state);
+  const std::shared_ptr<request_state> state = attach(r);
+  bool queued = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      ++stats_.requests_failed;
-      fail(*state, "shard stopped");
-      return future;
-    }
-    stamp_admission(r, sim_now_ps_.load(std::memory_order_relaxed));
-    control_queue_.push_back(std::move(r));
-    ++total_queued_;
-    ++stats_.requests_enqueued;
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    queued = admit_locked(r, nullptr);
   }
-  cv_worker_.notify_one();
-  return future;
+  settle(*state, queued);
+  return request_future(state);
 }
 
 void shard::forward_backlog(session_id id, std::deque<request> backlog) {
   if (backlog.empty()) return;
+  bool queued = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      for (request& r : backlog) {
-        fail(*r.completion, "shard stopped");
-        ++stats_.requests_failed;
+    session_state* s = nullptr;
+    if (!stop_) {
+      auto it = sessions_.find(id);
+      if (it == sessions_.end() || it->second.moved) {
+        throw std::invalid_argument("shard: forward to unregistered session");
       }
-      return;
+      s = &it->second;
     }
-    auto it = sessions_.find(id);
-    if (it == sessions_.end() || it->second.moved) {
-      throw std::invalid_argument("shard: forward to unregistered session");
-    }
-    session_state& s = it->second;
-    if (s.queue.empty()) s.pass = std::max(s.pass, virtual_pass_);
-    total_queued_ += backlog.size();
-    stats_.requests_enqueued += backlog.size();
-    for (request& r : backlog) s.queue.push_back(std::move(r));
-    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, total_queued_);
+    // stop_ holds still under mu_: all of the backlog is queued, or none.
+    for (request& r : backlog) queued = admit_locked(r, s, /*stamp=*/false);
   }
-  cv_worker_.notify_one();
+  if (queued) {
+    cv_worker_.notify_one();
+    return;
+  }
+  for (request& r : backlog) fail(*r.completion, "shard stopped");
 }
 
 std::vector<std::pair<session_id, std::size_t>> shard::session_backlogs()
@@ -342,7 +358,7 @@ bool shard::pop_next_locked(request& out) {
     // mix diverse enough to cover the banks.
     auto inflight_it = session_inflight_.find(id);
     if (inflight_it != session_inflight_.end() &&
-        inflight_it->second >= config_.session_max_inflight) {
+        inflight_it->second >= session_max_inflight) {
       continue;
     }
     if (best == nullptr || s.pass < best->pass) best = &s;
@@ -372,11 +388,11 @@ void shard::run() {
       continue;
     }
     if (weights_dirty_) apply_weights_locked();
+    // The scheduler's own count of unfinished tasks: read on this
+    // thread, which alone submits and ticks.
+    const std::size_t outstanding = sys_.runtime().sched().outstanding();
     request req;
-    bool have = false;
-    if (inflight_tasks_ < config_.max_inflight) {
-      have = pop_next_locked(req);
-    }
+    const bool have = outstanding < max_inflight && pop_next_locked(req);
     if (have) {
       lock.unlock();
       cv_space_.notify_all();  // admission space freed
@@ -403,11 +419,11 @@ void shard::run() {
       } else if (result == exec_result::park_token) {
         waiting_on_token_.push_back(std::move(req));
       }
-    } else if (inflight_tasks_ > 0) {
+    } else if (outstanding > 0) {
       // Queue drained (or admission-capped): advance simulated time so
       // in-flight tasks make progress toward completion.
       lock.unlock();
-      advance(config_.ticks_per_slice);
+      advance(ticks_per_slice);
       lock.lock();
     } else {
       publish_stats_locked();
@@ -443,6 +459,12 @@ dram::address shard::translate_addr(session_id owner,
 
 dram::bulk_vector shard::translate(session_id owner,
                                    const dram::bulk_vector& v) const {
+  // A handle's size must match its rows: a forged size would have a
+  // read build that many bits from one row.
+  const bits row_bits = sys_.org().row_bits();
+  if (v.size == 0 || (v.size + row_bits - 1) / row_bits != v.rows.size()) {
+    throw std::invalid_argument("vector handle: size does not match its rows");
+  }
   dram::bulk_vector out;
   out.size = v.size;
   out.rows.reserve(v.rows.size());
@@ -465,15 +487,14 @@ void shard::translate_task(session_id owner, runtime::pim_task& task) const {
   }
 }
 
-bool shard::has_hazard(const dram::bulk_vector& phys) const {
-  for (const dram::address& a : phys.rows) {
-    if (busy_rows_.count(sys_.memory().row_key(a)) != 0) return true;
-  }
-  return false;
-}
-
 void shard::drain_if_hazard(const dram::bulk_vector& phys) {
-  if (!has_hazard(phys)) return;
+  const runtime::scheduler& sched = sys_.runtime().sched();
+  const bool hazard =
+      std::any_of(phys.rows.begin(), phys.rows.end(),
+                  [&](const dram::address& a) {
+                    return sched.row_busy(sys_.memory().row_key(a));
+                  });
+  if (!hazard) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hazard_drains;
@@ -481,26 +502,18 @@ void shard::drain_if_hazard(const dram::bulk_vector& phys) {
   drain();
 }
 
-const dram::address* shard::wire_for(const dram::address& target) const {
-  auto it = wire_.find(target.channel);
-  if (it == wire_.end() || it->second.empty()) return nullptr;
+const dram::address& shard::wire_for(const dram::address& target) const {
+  const std::vector<dram::address>& rows = wire_.at(target.channel);
   // Spread transfers across landing rows (offset from the target's own
   // bank) so independent rows' copies are not all funneled — and
   // hazard-serialized — through one partner.
-  const std::size_t n = it->second.size();
+  const std::size_t n = rows.size();
   const std::size_t start = static_cast<std::size_t>(target.bank + 1) % n;
   for (std::size_t i = 0; i < n; ++i) {
-    const dram::address& w = it->second[(start + i) % n];
-    if (w.rank != target.rank || w.bank != target.bank) return &w;
+    const dram::address& w = rows[(start + i) % n];
+    if (w.rank != target.rank || w.bank != target.bank) return w;
   }
-  return nullptr;
-}
-
-void shard::track_row(std::uint64_t key) { ++busy_rows_[key]; }
-
-void shard::untrack_row(std::uint64_t key) {
-  auto it = busy_rows_.find(key);
-  if (it != busy_rows_.end() && --it->second <= 0) busy_rows_.erase(it);
+  throw std::logic_error("shard: no wire row outside the target's bank");
 }
 
 void shard::bump_completed(bytes output) {
@@ -544,105 +557,35 @@ void shard::complete_tracked(session_id session,
   }
 }
 
-namespace {
-
-/// Applies `data`'s row_index-th row_bits-sized slice to a physical
-/// row — the same packing write_vector/read_vector use.
-void write_row_slice(dram::memory_system& mem, const dram::address& phys,
-                     const bitvector& data, std::size_t row_index) {
-  const bits row_bits = mem.org().row_bits();
-  bitvector& row = mem.row(phys);
-  for (std::size_t i = 0; i < row_bits; ++i) {
-    const std::size_t bit = row_index * row_bits + i;
-    if (bit >= data.size()) break;
-    row.set(i, data.get(bit));
-  }
-}
-
-/// Row keys a (translated) task touches — mirrors the scheduler's own
-/// hazard collection, for the shard's functional-op hazard signal.
-void collect_task_rows(const dram::memory_system& mem,
-                       const runtime::pim_task& task,
-                       std::vector<std::uint64_t>& keys) {
-  if (const auto* bulk =
-          std::get_if<runtime::bulk_bool_args>(&task.payload)) {
-    for (const dram::address& a : bulk->a.rows) keys.push_back(mem.row_key(a));
-    if (bulk->b) {
-      for (const dram::address& a : bulk->b->rows) {
-        keys.push_back(mem.row_key(a));
-      }
-    }
-    for (const dram::address& a : bulk->d.rows) keys.push_back(mem.row_key(a));
-  } else if (const auto* copy =
-                 std::get_if<runtime::row_copy_args>(&task.payload)) {
-    keys.push_back(mem.row_key(copy->src));
-    keys.push_back(mem.row_key(copy->dst));
-  } else if (const auto* ms =
-                 std::get_if<runtime::row_memset_args>(&task.payload)) {
-    keys.push_back(mem.row_key(ms->dst));
-  }
-}
-
-}  // namespace
-
-void shard::stage_row(session_id stream, const dram::address& phys,
-                      std::shared_ptr<const bitvector> data,
-                      std::size_t row_index,
-                      std::shared_ptr<transfer_group> group, bool track) {
-  const std::uint64_t key = sys_.memory().row_key(phys);
-  const dram::address* wire = wire_for(phys);
-  if (wire == nullptr) {
-    // Unpriceable organization (single bank+rank): the caller drained
-    // hazards up front; apply functionally right away.
-    write_row_slice(sys_.memory(), phys, *data, row_index);
-    if (group && --group->remaining == 0) group->finalize();
-    return;
-  }
+void shard::submit_psm(session_id stream, const dram::address& phys,
+                       bool inbound, std::function<void()> landed) {
+  const dram::address& wire = wire_for(phys);
   runtime::pim_task t;
-  t.payload = runtime::row_copy_args{*wire, phys, /*same_subarray=*/false};
+  t.payload = inbound ? runtime::row_copy_args{wire, phys, false}
+                      : runtime::row_copy_args{phys, wire, false};
   t.forced_backend = runtime::backend_kind::rowclone;
   t.stream = static_cast<int>(stream);
   t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
   t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, data, row_index, group, track,
-                   key](const runtime::task_report&) {
-    // The PSM copy just deposited the wire row's (meaningless) bits;
-    // overwrite with the transfer's real payload before any
-    // hazard-dependent successor is released.
-    write_row_slice(sys_.memory(), phys, *data, row_index);
-    if (track) untrack_row(key);
-    --inflight_tasks_;
-    if (group && --group->remaining == 0) group->finalize();
+  t.on_complete = [landed = std::move(landed)](const runtime::task_report&) {
+    landed();
   };
   sys_.submit(std::move(t));
-  ++inflight_tasks_;
-  if (track) track_row(key);
 }
 
-void shard::export_row(session_id stream, const dram::address& phys,
-                       std::shared_ptr<std::vector<bitvector>> rows,
-                       std::size_t row_index,
-                       std::shared_ptr<transfer_group> group) {
-  const std::uint64_t key = sys_.memory().row_key(phys);
-  const dram::address* wire = wire_for(phys);
-  // Callers fall back to the plain read path when unpriceable, so a
-  // wire partner exists here by construction.
-  runtime::pim_task t;
-  t.payload = runtime::row_copy_args{phys, *wire, /*same_subarray=*/false};
-  t.forced_backend = runtime::backend_kind::rowclone;
-  t.stream = static_cast<int>(stream);
-  t.wire_hop = true;  // cross-shard transfer: exec time is `wire` state
-  t.admit_ps = sys_.memory().now_ps();
-  t.on_complete = [this, phys, rows, row_index, group,
-                   key](const runtime::task_report&) {
-    (*rows)[row_index] = sys_.memory().row_or_zero(phys);
-    untrack_row(key);
-    --inflight_tasks_;
-    if (--group->remaining == 0) group->finalize();
-  };
-  sys_.submit(std::move(t));
-  ++inflight_tasks_;
-  track_row(key);
+void shard::stage_vector(session_id stream, const dram::bulk_vector& phys,
+                         std::shared_ptr<const bitvector> data,
+                         const std::shared_ptr<transfer_group>& group) {
+  for (std::size_t i = 0; i < phys.rows.size(); ++i) {
+    const dram::address row = phys.rows[i];
+    submit_psm(stream, row, /*inbound=*/true, [this, row, data, i, group] {
+      // The PSM copy just deposited the wire row's (meaningless) bits;
+      // overwrite with the transfer's real payload before any
+      // hazard-dependent successor is released.
+      write_row_slice(sys_.memory(), row, *data, i);
+      if (group && --group->remaining == 0) group->finalize();
+    });
+  }
 }
 
 std::vector<dram::bulk_vector> shard::acquire_scratch(bits size, int count) {
@@ -759,7 +702,8 @@ shard::exec_result shard::execute(request& req) {
       case 3:
         return exec_run_task(req, std::get<run_task_args>(req.payload));
       case 4:
-        return exec_stage_run(req, std::get<stage_run_args>(req.payload));
+        exec_stage_run(req, std::get<stage_run_args>(req.payload));
+        break;
       case 5: {
         auto& args = std::get<stage_in_args>(req.payload);
         if (args.token != 0) {
@@ -874,23 +818,11 @@ void shard::exec_write(request& req, const write_args& args) {
 
 void shard::exec_read(request& req, const read_args& args) {
   const dram::bulk_vector phys = translate(req.session, args.v);
-  bool priceable = args.priced;
-  for (const dram::address& a : phys.rows) {
-    if (wire_for(a) == nullptr) priceable = false;
-  }
-  if (!priceable) {
+  if (!args.priced) {
     drain_if_hazard(phys);
     request_result res;
     res.data = sys_.read(phys);
-    if (args.priced) {
-      // Internal capture on an unpriceable organization: functional
-      // fallback, still not a client call — no latency sample.
-      complete(*req.completion, std::move(res));
-      bump_completed(0);
-    } else {
-      complete_tracked(req.session, req.completion, std::move(res), 0,
-                       "read");
-    }
+    complete_tracked(req.session, req.completion, std::move(res), 0, "read");
     return;
   }
   // RowClone-priced export: one PSM copy per row onto the wire rows;
@@ -926,7 +858,12 @@ void shard::exec_read(request& req, const read_args& args) {
     }
   };
   for (std::size_t i = 0; i < phys.rows.size(); ++i) {
-    export_row(req.session, phys.rows[i], rows, i, group);
+    const dram::address row = phys.rows[i];
+    submit_psm(req.session, row, /*inbound=*/false,
+               [this, row, rows, i, group] {
+                 (*rows)[i] = sys_.memory().row_or_zero(row);
+                 if (--group->remaining == 0) group->finalize();
+               });
   }
 }
 
@@ -938,14 +875,12 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
   task.stream = static_cast<int>(req.session);
   task.flow = req.completion->flow;
   std::vector<std::uint64_t> keys;
-  collect_task_rows(sys_.memory(), task, keys);
+  sys_.runtime().sched().collect_rows(task, keys, keys);
   if (rows_reserved(keys, 0)) return exec_result::park_session;
   auto completion = req.completion;
   const session_id session = req.session;
-  task.on_complete = [this, completion, keys,
+  task.on_complete = [this, completion,
                       session](const runtime::task_report& report) {
-    for (std::uint64_t key : keys) untrack_row(key);
-    --inflight_tasks_;
     --session_inflight_[session];
     request_result res;
     res.report = report;
@@ -953,106 +888,64 @@ shard::exec_result shard::exec_run_task(request& req, run_task_args& args) {
                      report.output_bytes, "run_task", &report);
   };
   sys_.submit(std::move(task));
-  ++inflight_tasks_;
   ++session_inflight_[session];
-  for (std::uint64_t key : keys) track_row(key);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.tasks_submitted;
   return exec_result::done;
 }
 
-shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
-  // Inputs read locally must respect other plans' write-back
-  // reservations (the plan's own reservation on d is exempt: an
-  // in-place d = op(d, ...) reads the pre-op value by design). Check
-  // before consuming anything so a parked request stays intact.
-  if (!args.a.bits &&
-      vector_reserved(args.a.owner, args.a.v, args.token)) {
-    return exec_result::park_session;
-  }
-  if (args.b && !args.b->bits &&
-      vector_reserved(args.b->owner, args.b->v, args.token)) {
-    return exec_result::park_session;
-  }
+void shard::exec_stage_run(request& req, stage_run_args& args) {
   const bits size = args.d.size;
   const int count = args.b ? 3 : 2;
   shard* d_shard = args.d_shard == nullptr ? this : args.d_shard;
   try {
-  // Gather input bits: remote operands arrive pre-fetched; operands
-  // resident here are read directly (hazard-drained if needed).
-  auto local_bits = [&](cross_operand& operand) -> bitvector {
-    if (operand.bits) return std::move(*operand.bits);
-    const dram::bulk_vector phys = translate(operand.owner, operand.v);
-    drain_if_hazard(phys);
-    return sys_.read(phys);
-  };
-  auto da = std::make_shared<const bitvector>(local_bits(args.a));
-  std::shared_ptr<const bitvector> db;
-  if (args.b) db = std::make_shared<const bitvector>(local_bits(*args.b));
+    // Stage every input (fetched from its owner in phase one) into one
+    // co-located scratch group: Ambit needs its operand rows in a
+    // shared subarray, which is exactly the paper's point — RowClone
+    // makes moving operands to the compute site cheap, so the op can
+    // always run in-DRAM.
+    auto da = std::make_shared<const bitvector>(std::move(args.a));
+    std::shared_ptr<const bitvector> db;
+    if (args.b) db = std::make_shared<const bitvector>(std::move(*args.b));
+    std::vector<dram::bulk_vector> scratch = acquire_scratch(size, count);
+    stage_vector(req.session, scratch[0], da, nullptr);
+    if (db) stage_vector(req.session, scratch[1], db, nullptr);
 
-  // Stage every input into one co-located scratch group: Ambit needs
-  // its operand rows in a shared subarray, which is exactly the
-  // paper's point — RowClone makes moving operands to the compute
-  // site cheap, so the op can always run in-DRAM.
-  std::vector<dram::bulk_vector> scratch = acquire_scratch(size, count);
-  bool priceable = true;
-  for (const dram::bulk_vector& v : scratch) {
-    for (const dram::address& a : v.rows) {
-      if (wire_for(a) == nullptr) priceable = false;
-    }
-  }
-  if (!priceable) drain();  // unpriceable fallback stages functionally
-  for (std::size_t i = 0; i < scratch[0].rows.size(); ++i) {
-    stage_row(req.session, scratch[0].rows[i], da, i, nullptr,
-              /*track=*/false);
-  }
-  if (db) {
-    for (std::size_t i = 0; i < scratch[1].rows.size(); ++i) {
-      stage_row(req.session, scratch[1].rows[i], db, i, nullptr,
-                /*track=*/false);
-    }
-  }
-
-  // The compute task RAW-depends on every staging copy (they write the
-  // scratch rows it reads), so submitting it immediately still runs it
-  // strictly after the transfer has been paid for.
-  runtime::pim_task ct = runtime::make_bulk_task(
-      args.op, scratch[0], args.b ? &scratch[1] : nullptr,
-      scratch[static_cast<std::size_t>(count - 1)]);
-  ct.stream = static_cast<int>(req.session);
-  ct.flow = req.completion ? req.completion->flow : 0;
-  const dram::bulk_vector scratch_d = scratch[static_cast<std::size_t>(
-      count - 1)];
-  auto completion = req.completion;
-  ct.on_complete = [this, completion, scratch_d, scratch, size,
-                    d_owner = args.d_owner, d_v = args.d, d_shard,
-                    token = args.token, guard = std::move(args.guard)](
-                       const runtime::task_report& report) mutable {
-    bitvector out = sys_.read(scratch_d);
-    release_scratch(size, std::move(scratch));
-    --inflight_tasks_;
-    bump_completed(0);  // this shard's part of the plan is done
-    // Phase three: land the result in the destination owner's vector
-    // (possibly on another shard) with RowClone pricing. The write-back
-    // request carries the client's original completion state, so the
-    // client future completes only once the landing has been paid for.
-    request wb;
-    wb.session = d_owner;
-    wb.completion = completion;
-    wb.payload = stage_in_args{d_owner, std::move(d_v), std::move(out),
-                               report, token, std::move(guard)};
-    d_shard->enqueue_control(std::move(wb));
-  };
-  sys_.submit(std::move(ct));
-  ++inflight_tasks_;
-  {
+    // The compute task RAW-depends on every staging copy (they write the
+    // scratch rows it reads), so submitting it immediately still runs it
+    // strictly after the transfer has been paid for.
+    const dram::bulk_vector scratch_d =
+        scratch[static_cast<std::size_t>(count - 1)];
+    runtime::pim_task ct = runtime::make_bulk_task(
+        args.op, scratch[0], args.b ? &scratch[1] : nullptr, scratch_d);
+    ct.stream = static_cast<int>(req.session);
+    ct.flow = req.completion ? req.completion->flow : 0;
+    auto completion = req.completion;
+    ct.on_complete = [this, completion, scratch_d, scratch, size,
+                      d_owner = args.d_owner, d_v = args.d, d_shard,
+                      token = args.token, guard = std::move(args.guard)](
+                         const runtime::task_report& report) mutable {
+      bitvector out = sys_.read(scratch_d);
+      release_scratch(size, std::move(scratch));
+      bump_completed(0);  // this shard's part of the plan is done
+      // Phase three: land the result in the destination owner's vector
+      // (possibly on another shard) with RowClone pricing. The
+      // write-back request carries the client's original completion
+      // state, so the client future completes only once the landing
+      // has been paid for.
+      request wb;
+      wb.session = d_owner;
+      wb.completion = completion;
+      wb.payload = stage_in_args{d_owner, std::move(d_v), std::move(out),
+                                 report, token, std::move(guard)};
+      d_shard->enqueue_control(std::move(wb));
+    };
+    sys_.submit(std::move(ct));
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.tasks_submitted;
     ++stats_.cross_plans;
-    stats_.staged_bytes += (static_cast<bytes>(size) / 8) *
-                           static_cast<bytes>(count - 1);
-  }
-  return exec_result::done;
+    stats_.staged_bytes +=
+        (static_cast<bytes>(size) / 8) * static_cast<bytes>(count - 1);
   } catch (...) {
     // The write-back will never happen: release the destination's
     // reservation so its owner's queue does not stall forever, then
@@ -1069,39 +962,19 @@ shard::exec_result shard::exec_stage_run(request& req, stage_run_args& args) {
 
 void shard::exec_stage_in(request& req, stage_in_args& args) {
   const dram::bulk_vector phys = translate(args.owner, args.v);
-  bool priceable = true;
-  for (const dram::address& a : phys.rows) {
-    if (wire_for(a) == nullptr) priceable = false;
-  }
-  auto completion = req.completion;
-  const session_id session = req.session;
-  if (!priceable) {
-    drain_if_hazard(phys);
-    sys_.write(phys, args.data);
-    request_result res;
-    res.report = args.report;
-    complete_tracked(session, completion, std::move(res), 0, "stage_in");
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.staged_bytes += phys.size / 8;
-    return;
-  }
-  auto data = std::make_shared<const bitvector>(std::move(args.data));
   auto group = std::make_shared<transfer_group>();
   group->remaining = static_cast<int>(phys.rows.size());
-  const bits size = phys.size;
-  group->finalize = [this, completion, session, report = args.report, size,
+  group->finalize = [this, completion = req.completion, session = req.session,
+                     report = args.report, size = phys.size,
                      guard = std::move(args.guard)] {
     request_result res;
     res.report = report;
     complete_tracked(session, completion, std::move(res), 0, "stage_in");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.staged_bytes += size / 8;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.staged_bytes += size / 8;
   };
-  for (std::size_t i = 0; i < phys.rows.size(); ++i) {
-    stage_row(args.owner, phys.rows[i], data, i, group, /*track=*/true);
-  }
+  stage_vector(args.owner, phys,
+               std::make_shared<const bitvector>(std::move(args.data)), group);
 }
 
 void shard::exec_install(request& req, install_args& args) {
@@ -1111,12 +984,9 @@ void shard::exec_install(request& req, install_args& args) {
   auto& map = remap_[args.session];
   std::size_t flat = 0;
   bytes total = 0;
-  struct staged_vec {
-    dram::bulk_vector phys;
-    std::shared_ptr<const bitvector> data;
-  };
-  std::vector<staged_vec> staged;
-  bool priceable = true;
+  int rows_total = 0;
+  std::vector<std::pair<dram::bulk_vector, std::shared_ptr<const bitvector>>>
+      staged;
   for (const auto& group : args.groups) {
     if (group.empty()) continue;
     const std::vector<dram::bulk_vector> phys =
@@ -1124,45 +994,34 @@ void shard::exec_install(request& req, install_args& args) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       for (std::size_t i = 0; i < group[k].rows.size(); ++i) {
         map[group[k].rows[i].row] = phys[k].rows[i];
-        if (wire_for(phys[k].rows[i]) == nullptr) priceable = false;
       }
       if (flat >= args.data.size()) {
         throw std::logic_error("install: data/groups mismatch");
       }
-      staged.push_back({phys[k], std::make_shared<const bitvector>(
-                                     std::move(args.data[flat]))});
+      staged.emplace_back(phys[k], std::make_shared<const bitvector>(
+                                       std::move(args.data[flat])));
       total += group[k].size / 8;
+      rows_total += static_cast<int>(phys[k].rows.size());
       ++flat;
     }
   }
-  auto completion = req.completion;
-  if (!priceable) drain();
   auto group_state = std::make_shared<transfer_group>();
-  int rows_total = 0;
-  for (const staged_vec& sv : staged) {
-    rows_total += static_cast<int>(sv.phys.rows.size());
-  }
   group_state->remaining = rows_total;
   // Migration machinery, not a client request: completes untracked so
   // the session's percentiles reflect only client-observed latency.
-  group_state->finalize = [this, completion, total] {
+  group_state->finalize = [this, completion = req.completion, total] {
     complete(*completion, request_result{});
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests_completed;
-      ++stats_.migrations_in;
-      stats_.staged_bytes += total;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.requests_completed;
+    ++stats_.migrations_in;
+    stats_.staged_bytes += total;
   };
   if (rows_total == 0) {
     group_state->finalize();
     return;
   }
-  for (const staged_vec& sv : staged) {
-    for (std::size_t i = 0; i < sv.phys.rows.size(); ++i) {
-      stage_row(args.session, sv.phys.rows[i], sv.data, i, group_state,
-                /*track=*/true);
-    }
+  for (const auto& [phys, data] : staged) {
+    stage_vector(args.session, phys, data, group_state);
   }
 }
 
@@ -1211,8 +1070,7 @@ void shard::publish_stats_locked() {
       .store(static_cast<std::int64_t>(total_queued_),
              std::memory_order_relaxed);
   reg.gauge(prefix + "inflight_tasks")
-      .store(static_cast<std::int64_t>(
-                 inflight_tasks_.load(std::memory_order_relaxed)),
+      .store(static_cast<std::int64_t>(sys_.runtime().sched().outstanding()),
              std::memory_order_relaxed);
   reg.gauge(prefix + "sessions")
       .store(stats_.sessions, std::memory_order_relaxed);

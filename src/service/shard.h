@@ -9,7 +9,8 @@
 // each session's share of pops is proportional to its weight, so one
 // heavy tenant cannot starve the others. A separate unbounded control
 // queue, popped ahead of the session queues, carries service-internal
-// traffic (migration capture/install, cross-shard write-backs).
+// traffic (migration capture/install, cross-shard write-backs). Every
+// entry point ends in one admission tail (admit_locked).
 //
 // Vector handles are virtual (see request.h): the worker translates
 // them to physical rows through a per-session remap at execute time,
@@ -20,9 +21,18 @@
 // runtime and overlap across banks; their client futures complete
 // through per-task callbacks at the simulated completion instant.
 // Functional requests (allocate / write / read) are hazard-checked at
-// row granularity: the worker drains the runtime only when a request
-// actually touches a row with an in-flight task, so independent
-// sessions' metadata ops no longer serialize everyone's compute.
+// row granularity against the runtime scheduler's own hazard tables
+// (scheduler::row_busy): the worker drains the runtime only when a
+// request actually touches a row with an in-flight task, so
+// independent sessions' metadata ops do not serialize everyone's
+// compute.
+//
+// Every byte that crosses shards — plan fetches and write-backs,
+// migration captures and installs — is priced as one RowClone PSM
+// copy per row between the row and a wire row in another (rank, bank)
+// of its channel. The constructor therefore requires every channel to
+// offer wire rows in two (rank, bank) pairs and throws
+// std::invalid_argument otherwise.
 //
 // Thread-safety contract: the worker thread is the only code that
 // touches sys_ (and the worker-only members below) after start();
@@ -48,14 +58,6 @@ namespace pim::service {
 
 struct shard_config {
   std::size_t session_queue_capacity = 64;  // per-session admission bound
-  int max_inflight = 64;  // runtime tasks released at once
-  /// Runtime tasks one session may hold in flight. A deep serial chain
-  /// is hazard-deferred anyway, so letting one tenant fill the whole
-  /// inflight window just starves everyone else's bank parallelism (a
-  /// convoy that shows up when a migrated session's forwarded backlog
-  /// lands on a quiet shard).
-  int session_max_inflight = 8;
-  int ticks_per_slice = 128;  // DRAM clocks advanced per worker iteration
 };
 
 /// Telemetry one shard publishes; aggregated service-wide by
@@ -127,23 +129,16 @@ class shard {
   detached_session detach_session(session_id id);
 
   /// Blocking admission: waits while the session's queue is full.
-  /// Throws session_moved_error if the session migrated away.
-  request_future enqueue(request r) { return enqueue_move(r); }
+  /// Throws session_moved_error if the session migrated away. The
+  /// request is consumed only on admission, so the service's
+  /// retry-on-moved routing can resubmit it intact; its completion
+  /// state, once attached, is kept across retries (and forwarding).
+  request_future enqueue(request& r);
 
   /// Non-blocking admission: nullopt when the session's queue is full
   /// (or the shard is stopped) — the backpressure signal. Throws
   /// session_moved_error if the session migrated away.
-  std::optional<request_future> try_enqueue(request r) {
-    return try_enqueue_move(r);
-  }
-
-  /// By-reference variants the service's retry-on-moved routing uses:
-  /// the request is consumed only on successful admission, so a
-  /// session_moved_error leaves it intact for the retry. An
-  /// already-attached completion state is kept (migration backlog
-  /// forwarding preserves client futures).
-  request_future enqueue_move(request& r);
-  std::optional<request_future> try_enqueue_move(request& r);
+  std::optional<request_future> try_enqueue(request& r);
 
   /// Unbounded service-internal admission, popped ahead of every
   /// session queue and exempt from per-session registration — the
@@ -200,6 +195,19 @@ class shard {
   };
 
   void run();  // worker thread body
+  /// The registered, not migrated-away session `id` (mu_ held); throws
+  /// session_moved_error otherwise, for the router to re-resolve.
+  session_state& session_locked(session_id id);
+  /// The admission tail every entry point shares (mu_ held): queues
+  /// `r` on `s` (the control queue when null), floors `s`'s stride
+  /// pass if its queue was empty, stamps admission when `stamp` (a
+  /// forwarded request keeps its first stamp), and counts it. Returns
+  /// false, counting a failure and leaving `r` intact, if the shard
+  /// stopped; the caller fails it once mu_ is released.
+  bool admit_locked(request& r, session_state* s, bool stamp = true);
+  /// After admit_locked, with mu_ released: wakes the worker for a
+  /// queued request, or fails a refused one ("shard stopped").
+  void settle(request_state& state, bool queued);
   bool pop_next_locked(request& out);
   exec_result execute(request& req);
   void drain();             // worker: tick until the runtime is idle
@@ -213,28 +221,25 @@ class shard {
   dram::bulk_vector translate(session_id owner,
                               const dram::bulk_vector& v) const;
   void translate_task(session_id owner, runtime::pim_task& task) const;
-  bool has_hazard(const dram::bulk_vector& phys) const;
   void drain_if_hazard(const dram::bulk_vector& phys);
-  /// A wire row on `target`'s channel usable as the PSM partner
-  /// (different bank/rank); nullptr when the organization is too small
-  /// to price transfers.
-  const dram::address* wire_for(const dram::address& target) const;
-  /// Submits one PSM-priced landing copy: wire -> row, with `data`'s
-  /// row_index-th slice applied at the copy's completion instant.
-  /// Falls back to an immediate functional write when unpriceable.
-  void stage_row(session_id stream, const dram::address& phys,
-                 std::shared_ptr<const bitvector> data, std::size_t row_index,
-                 std::shared_ptr<transfer_group> group, bool track);
-  /// Submits one PSM-priced export copy: row -> wire, with the row's
-  /// bits captured into `rows` at the copy's completion instant.
-  void export_row(session_id stream, const dram::address& phys,
-                  std::shared_ptr<std::vector<bitvector>> rows,
-                  std::size_t row_index,
-                  std::shared_ptr<transfer_group> group);
+  /// The wire row on `target`'s channel that prices its transfers: in
+  /// another (rank, bank), which the constructor guarantees exists.
+  const dram::address& wire_for(const dram::address& target) const;
+  /// Submits one RowClone PSM copy priced as a wire hop between `phys`
+  /// and its wire row: inbound (wire -> phys) lands a transfer,
+  /// outbound (phys -> wire) exports one. `landed` runs at the copy's
+  /// completion instant, before any hazard-ordered successor is
+  /// released.
+  void submit_psm(session_id stream, const dram::address& phys, bool inbound,
+                  std::function<void()> landed);
+  /// Lands `data` in `phys` with one inbound PSM copy per row; each
+  /// row's slice is applied as its copy completes and counts down
+  /// `group` when one is given.
+  void stage_vector(session_id stream, const dram::bulk_vector& phys,
+                    std::shared_ptr<const bitvector> data,
+                    const std::shared_ptr<transfer_group>& group);
   std::vector<dram::bulk_vector> acquire_scratch(bits size, int count);
   void release_scratch(bits size, std::vector<dram::bulk_vector> group);
-  void track_row(std::uint64_t key);
-  void untrack_row(std::uint64_t key);
   void bump_completed(bytes output);
   /// Completes a client-visible request and charges its
   /// submit→complete latency to the session's histogram in one stats
@@ -251,7 +256,7 @@ class shard {
   void exec_write(request& req, const write_args& args);
   void exec_read(request& req, const read_args& args);
   exec_result exec_run_task(request& req, run_task_args& args);
-  exec_result exec_stage_run(request& req, stage_run_args& args);
+  void exec_stage_run(request& req, stage_run_args& args);
   void exec_stage_in(request& req, stage_in_args& args);
   void exec_install(request& req, install_args& args);
 
@@ -301,22 +306,15 @@ class shard {
   /// Per-session translation: virtual row id -> physical row address.
   std::unordered_map<session_id, std::unordered_map<int, dram::address>>
       remap_;
-  /// Rows with an in-flight runtime task — the row-granular hazard
-  /// signal functional ops drain on (value = pending task count).
-  std::unordered_map<std::uint64_t, int> busy_rows_;
   /// Reusable co-located scratch groups for cross-shard staging,
   /// keyed by vector size (the allocator cannot free, so plans
   /// recycle instead of leaking capacity).
   std::map<std::pair<bits, int>, std::vector<std::vector<dram::bulk_vector>>>
       scratch_pool_;
-  /// Per-channel landing rows in >= 2 distinct banks: the PSM partners
-  /// that price inter-shard transfers on this shard's clock.
+  /// Per-channel landing rows in >= 2 distinct (rank, bank) pairs: the
+  /// PSM partners that price inter-shard transfers on this shard's
+  /// clock.
   std::map<int, std::vector<dram::address>> wire_;
-  /// Runtime tasks in flight. Written only by the worker thread, but
-  /// atomic so stats() can refresh the inflight gauge from any thread
-  /// without taking the worker's locks (relaxed everywhere: the gauge
-  /// is a monitoring sample, not a synchronization edge).
-  std::atomic<int> inflight_tasks_{0};
   /// Relaxed mirror of the shard's simulated clock, published by the
   /// worker after each tick slice. Client threads stamp run_task
   /// admission (task.admit_ps) from it at enqueue time; it can lag —

@@ -292,18 +292,6 @@ std::vector<std::pair<std::string, report>> baseline_reports() {
   return reports;
 }
 
-bool selftest_passed() {
-  const auto results = run_selftest();
-  const bool all_fired =
-      std::all_of(results.begin(), results.end(),
-                  [](const selftest_result& r) { return r.fired; });
-  const auto baselines = baseline_reports();
-  const bool all_clean =
-      std::all_of(baselines.begin(), baselines.end(),
-                  [](const auto& b) { return b.second.ok(); });
-  return all_fired && all_clean;
-}
-
 std::string to_string(const std::vector<selftest_result>& results) {
   std::string out;
   for (const selftest_result& r : results) {

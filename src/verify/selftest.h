@@ -40,10 +40,6 @@ std::vector<selftest_result> run_selftest();
 /// canonical wire schema.
 std::vector<std::pair<std::string, report>> baseline_reports();
 
-/// True when every seeded-bad mutation fired and every baseline is
-/// clean.
-bool selftest_passed();
-
 /// Human-readable summary ("V001 use-before-def: fired" per line).
 std::string to_string(const std::vector<selftest_result>& results);
 

@@ -869,13 +869,38 @@ TEST(AmbitAllocatorTest, ExhaustionThrows) {
   org.banks = 1;
   org.subarrays = 2;
   ambit_allocator alloc(org);
+  // Groups of three fill both stripe units down to one free slot each;
+  // the next group exceeds the free capacity and is refused up front.
   EXPECT_THROW(
       {
         for (int i = 0; i < 10000; ++i) {
           alloc.allocate_group(org.row_bits(), 3);
         }
       },
-      std::runtime_error);
+      std::invalid_argument);
+}
+
+TEST(AmbitAllocatorTest, OversizedRequestsAreRefusedBeforeBuilding) {
+  // A client picks `count` and `size` freely (the wire carries any
+  // int32 count). A request that cannot fit must throw before the
+  // allocator builds or reserves anything.
+  const organization org = small_org();
+  ambit_allocator alloc(org);
+  const subarray_layout layout(org);
+  const std::size_t before = alloc.free_slots();
+  // All slots of a group share one subarray.
+  EXPECT_THROW(alloc.allocate_group(1, layout.data_rows() + 1),
+               std::invalid_argument);
+  EXPECT_THROW(alloc.allocate_group(1, 1 << 20), std::invalid_argument);
+  // More rows than are free in total.
+  EXPECT_THROW(alloc.allocate_group(org.row_bits() * (before + 1), 1),
+               std::invalid_argument);
+  EXPECT_THROW(alloc.allocate_group(org.row_bits() * (before / 2 + 1), 2),
+               std::invalid_argument);
+  EXPECT_EQ(alloc.free_slots(), before);
+  // The largest fitting group still allocates.
+  EXPECT_EQ(alloc.allocate_group(1, layout.data_rows()).size(),
+            static_cast<std::size_t>(layout.data_rows()));
 }
 
 TEST(AmbitAllocatorTest, FreedGroupsAreRecycled) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -990,6 +991,75 @@ TEST(remote_client, server_side_failure_surfaces_as_future_error) {
     EXPECT_EQ(client.allocate(8192, 2).size(), 2u);
   }
   server.stop();
+}
+
+TEST(remote_client, unframeable_read_fails_alone_and_connection_survives) {
+  // A read whose response cannot fit in one frame: the server answers
+  // that request with an error and keeps serving the connection.
+  server_config cfg;
+  cfg.service.shards = 1;
+  cfg.service.system.org.channels = 1;
+  cfg.service.system.org.ranks = 1;
+  cfg.service.system.org.banks = 8;
+  cfg.service.system.org.subarrays = 8;
+  cfg.service.system.org.rows = 8192;
+  cfg.service.system.org.columns = 128;
+  const bits row_bits = cfg.service.system.org.row_bits();
+  pim_server server(cfg);
+  server.start();
+  {
+    remote_client client("127.0.0.1", server.port());
+    // One row more than a frame can carry.
+    const auto huge =
+        client.allocate(8 * static_cast<bits>(max_frame_bytes) + row_bits, 1);
+    EXPECT_THROW(client.read(huge[0]), std::runtime_error);
+
+    const auto small = client.allocate(row_bits, 1);
+    const bitvector data = sample_bits(row_bits, 71);
+    client.write(small[0], data);
+    EXPECT_EQ(client.read(small[0]), data);
+  }
+  server.stop();
+}
+
+TEST(remote_client, handle_with_forged_size_is_rejected) {
+  // A one-row handle whose size claims far more bits than its row:
+  // the shard refuses it instead of building that many bits.
+  pim_server server(small_server_config());
+  server.start();
+  {
+    remote_client client("127.0.0.1", server.port());
+    const bits row_bits = small_server_config().service.system.org.row_bits();
+    const auto v = client.allocate(row_bits, 1);
+    dram::bulk_vector forged = v[0];
+    forged.size = 8 * static_cast<bits>(max_frame_bytes) + row_bits;
+    EXPECT_THROW(client.read(forged), std::runtime_error);
+    EXPECT_THROW(client.write(forged, sample_bits(row_bits, 3)),
+                 std::runtime_error);
+
+    const bitvector data = sample_bits(row_bits, 73);
+    client.write(v[0], data);
+    EXPECT_EQ(client.read(v[0]), data);
+  }
+  server.stop();
+}
+
+TEST(remote_client, nan_weight_open_is_refused_and_server_keeps_serving) {
+  pim_server server(small_server_config());
+  server.start();
+  EXPECT_THROW(remote_client("127.0.0.1", server.port(),
+                             std::numeric_limits<double>::quiet_NaN()),
+               std::runtime_error);
+  {
+    remote_client client("127.0.0.1", server.port());
+    const auto vs = client.allocate(8192, 2);
+    const bitvector data = sample_bits(8192, 79);
+    client.write(vs[0], data);
+    client.submit_bulk(dram::bulk_op::not_op, vs[0], nullptr, vs[1]).get();
+    EXPECT_EQ(client.read(vs[1]), ~data);
+  }
+  server.stop();
+  EXPECT_EQ(server.service().stats().sessions, 1);
 }
 
 }  // namespace

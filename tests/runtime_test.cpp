@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/pim_system.h"
 #include "runtime/workload.h"
@@ -129,6 +130,82 @@ TEST(SchedulerTest, DependentTasksCompleteInOrder) {
   EXPECT_LE(t1.report().complete_ps, t2.report().start_ps);
   EXPECT_LE(t2.report().complete_ps, t3.report().start_ps);
   EXPECT_GE(sys.runtime().stats().sched.hazard_deferred, 2u);
+}
+
+TEST(SchedulerTest, RowBusyHoldsExactlyWhileAnActiveTaskTouchesTheRow) {
+  // row_busy(key) must be true exactly while a submitted, not yet
+  // completed task reads or writes the row — checked after every tick
+  // against each task's own rows and future.
+  core::pim_system sys(small_config());
+  scheduler& sched = sys.runtime().sched();
+  const bits size = 2'000;
+  auto v = sys.allocate(size, 4);
+  const auto untouched = sys.allocate(size, 1);
+  rng gen(13);
+  sys.write(v[0], bitvector::random(size, gen));
+  sys.write(v[1], bitvector::random(size, gen));
+
+  struct tracked {
+    task_future future;
+    std::vector<std::uint64_t> rows;
+  };
+  std::vector<tracked> tasks;
+  auto submit = [&](dram::bulk_op op, const dram::bulk_vector& a,
+                    const dram::bulk_vector* b, const dram::bulk_vector& d) {
+    pim_task t = make_bulk_task(op, a, b, d);
+    std::vector<std::uint64_t> rows;
+    sched.collect_rows(t, rows, rows);
+    tasks.push_back({sys.submit(std::move(t)), std::move(rows)});
+  };
+  auto keys_of = [&](const dram::bulk_vector& vec) {
+    std::vector<std::uint64_t> keys;
+    for (const dram::address& a : vec.rows) {
+      keys.push_back(sys.memory().row_key(a));
+    }
+    return keys;
+  };
+  // t0 reads v0, v1 and writes v2.
+  submit(dram::bulk_op::and_op, v[0], &v[1], v[2]);
+  // t1 reads v2 behind t0 (RAW): hazard-deferred.
+  submit(dram::bulk_op::or_op, v[2], &v[1], v[3]);
+  // t2 writes v1, superseding its readers t0 and t1 (WAR): the hazard
+  // table forgets them as v1's readers while they are still active.
+  submit(dram::bulk_op::not_op, v[0], nullptr, v[1]);
+  EXPECT_EQ(sched.stats().hazard_deferred, 2u);
+  // t1 has not been released, but the rows only it touches are busy.
+  for (std::uint64_t key : keys_of(v[3])) EXPECT_TRUE(sched.row_busy(key));
+
+  std::vector<std::uint64_t> keys;
+  for (const dram::bulk_vector& vec :
+       {v[0], v[1], v[2], v[3], untouched[0]}) {
+    for (std::uint64_t key : keys_of(vec)) keys.push_back(key);
+  }
+  auto check = [&] {
+    for (std::uint64_t key : keys) {
+      const bool truth =
+          std::any_of(tasks.begin(), tasks.end(), [&](const tracked& t) {
+            return !t.future.ready() &&
+                   std::count(t.rows.begin(), t.rows.end(), key) != 0;
+          });
+      EXPECT_EQ(sched.row_busy(key), truth) << "row key " << key;
+    }
+  };
+  check();
+  bool saw_superseded_reader_active = false;
+  for (int tick = 0; !sched.idle() && tick < 1'000'000; ++tick) {
+    sched.tick();
+    check();
+    // t0 done, t1 (a superseded reader of v1) still running.
+    if (tasks[0].future.ready() && !tasks[1].future.ready()) {
+      saw_superseded_reader_active = true;
+      for (std::uint64_t key : keys_of(v[1])) {
+        EXPECT_TRUE(sched.row_busy(key));
+      }
+    }
+  }
+  ASSERT_TRUE(sched.idle());
+  EXPECT_TRUE(saw_superseded_reader_active);
+  for (std::uint64_t key : keys) EXPECT_FALSE(sched.row_busy(key));
 }
 
 TEST(SchedulerTest, HazardChainProducesCorrectResults) {
@@ -351,6 +428,16 @@ TEST(StreamWeightTest, RejectsNonPositiveWeight) {
   EXPECT_THROW(sys.runtime().set_stream_weight(0, 0.0),
                std::invalid_argument);
   EXPECT_THROW(sys.runtime().set_stream_weight(0, -1.0),
+               std::invalid_argument);
+}
+
+TEST(StreamWeightTest, RejectsNonFiniteWeight) {
+  core::pim_system sys(small_config());
+  EXPECT_THROW(sys.runtime().set_stream_weight(
+                   0, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sys.runtime().set_stream_weight(
+                   0, std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/digest.h"
 #include "service/synthetic.h"
@@ -532,6 +533,46 @@ TEST(ServiceCrossShardTest, CrossShardOpsMatchFunctionalReference) {
   EXPECT_EQ(stats.requests_failed, 0u);
 }
 
+TEST(ServiceCrossShardTest, TwoBankOrganizationMatchesReferenceDigest) {
+  // The smallest organization a shard accepts: one channel with two
+  // (rank, bank) pairs, so every row's transfers are priced against
+  // the single wire row in the other bank.
+  service_config cfg = two_shard_range();
+  cfg.system.org.banks = 2;
+  pim_service svc(cfg);
+  svc.start();
+  service_client c0(svc);
+  service_client c1(svc);
+  ASSERT_EQ(c0.shard_index(), 0);
+  ASSERT_EQ(c1.shard_index(), 1);
+
+  // Rows in both banks, the last one partial.
+  const bits size = 3 * cfg.system.org.row_bits() + 100;
+  auto v0 = c0.allocate(size, 2);
+  auto v1 = c1.allocate(size, 2);
+  rng gen(61);
+  const bitvector a = bitvector::random(size, gen);
+  const bitvector b = bitvector::random(size, gen);
+  c0.write(v0[0], a);
+  c1.write(v1[0], b);
+  const shared_vector sb{c1.id(), v1[0]};
+  c0.submit_shared(dram::bulk_op::xor_op, c0.share(v0[0]), &sb,
+                   c1.share(v1[1]))
+      .get();
+  c1.submit_shared(dram::bulk_op::not_op, c1.share(v1[1]), nullptr,
+                   c0.share(v0[1]))
+      .get();
+
+  const bitvector x = a ^ b;
+  EXPECT_EQ(c0.digest(), fnv1a(fnv1a(fnv1a_basis, a), ~x));
+  EXPECT_EQ(c1.digest(), fnv1a(fnv1a(fnv1a_basis, b), x));
+  svc.stop();
+  const service_stats stats = svc.stats();
+  EXPECT_EQ(stats.cross_plans, 2u);
+  EXPECT_GT(stats.moved_wire_bytes, 0u);
+  EXPECT_EQ(stats.requests_failed, 0u);
+}
+
 TEST(ServiceCrossShardTest, PlannerPicksShardMinimizingBytesMoved) {
   pim_service svc(two_shard_range());
   svc.start();
@@ -816,6 +857,35 @@ TEST(ServiceStatsTest, TracksPerSessionLatencyPercentiles) {
   EXPECT_NE(json.str().find("\"latency\""), std::string::npos);
   EXPECT_NE(json.str().find("\"session_latency\""), std::string::npos);
   EXPECT_NE(json.str().find("\"p99_us\""), std::string::npos);
+}
+
+TEST(ServiceSessionTest, InvalidWeightsAreRefusedWithoutARecord) {
+  pim_service svc(small_service(2));
+  svc.start();
+  for (const double w : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 0.0,
+                         -1.0}) {
+    EXPECT_THROW(svc.open_session(w), std::invalid_argument) << w;
+  }
+  // No id was minted for a refused weight: the first accepted session
+  // is id 0, and the ids after it have no routable record.
+  EXPECT_EQ(svc.open_session(1.0).id, 0u);
+  EXPECT_NO_THROW(svc.owner_shard(0));
+  EXPECT_THROW(svc.owner_shard(1), std::invalid_argument);
+  svc.stop();
+  EXPECT_EQ(svc.stats().sessions, 1);
+}
+
+TEST(ServiceShardTest, OrganizationNeedsTwoBanksPerChannel) {
+  // Inter-shard transfers are priced as PSM copies between a row and a
+  // wire row in another (rank, bank) of its channel.
+  service_config cfg = small_service(1);
+  cfg.system.org.banks = 1;
+  EXPECT_THROW({ pim_service svc(cfg); }, std::invalid_argument);
+  cfg.system.org.channels = 2;  // still one (rank, bank) per channel
+  EXPECT_THROW({ pim_service svc(cfg); }, std::invalid_argument);
+  cfg.system.org.ranks = 2;  // two ranks of one bank each suffice
+  EXPECT_NO_THROW({ pim_service svc(cfg); });
 }
 
 TEST(ServiceSessionTest, SessionsSpreadAndClientsSeeTheirShard) {
