@@ -1,5 +1,6 @@
 #include "common/bitvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -98,6 +99,30 @@ void bitvector::resize(std::size_t size, bool value) {
 void bitvector::set_word(std::size_t w, word value) {
   words_[w] = value;
   if (w + 1 == words_.size()) clear_padding();
+}
+
+void bitvector::copy_bits(std::size_t dst_pos, const bitvector& src,
+                          std::size_t src_pos, std::size_t count) {
+  if (dst_pos > size_ || count > size_ - dst_pos || src_pos > src.size_ ||
+      count > src.size_ - src_pos) {
+    throw std::out_of_range("bitvector::copy_bits: range out of bounds");
+  }
+  // Each step fills the rest of one destination word (or the rest of
+  // the range), gathering its bits from at most two source words.
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t dst = dst_pos + done;
+    const std::size_t src_bit = src_pos + done;
+    const std::size_t dst_off = dst % word_bits;
+    const std::size_t src_off = src_bit % word_bits;
+    const std::size_t n = std::min(word_bits - dst_off, count - done);
+    const word* in = &src.words_[src_bit / word_bits];
+    word bits = in[0] >> src_off;
+    if (src_off + n > word_bits) bits |= in[1] << (word_bits - src_off);
+    const word mask = n == word_bits ? ~word{0} : (word{1} << n) - 1;
+    word& out = words_[dst / word_bits];
+    out = (out & ~(mask << dst_off)) | ((bits & mask) << dst_off);
+    done += n;
+  }
 }
 
 bitvector& bitvector::operator&=(const bitvector& other) {

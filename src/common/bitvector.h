@@ -52,6 +52,14 @@ class bitvector {
   word get_word(std::size_t w) const { return words_[w]; }
   void set_word(std::size_t w, word value);
 
+  /// Copies bits [src_pos, src_pos + count) of `src` onto bits
+  /// [dst_pos, dst_pos + count) of this vector a word at a time; bits
+  /// outside the destination range keep their values. Throws
+  /// std::out_of_range, before writing anything, if either range runs
+  /// past its vector's end. `src` must be a different vector.
+  void copy_bits(std::size_t dst_pos, const bitvector& src,
+                 std::size_t src_pos, std::size_t count);
+
   // In-place Boolean algebra. Operand sizes must match.
   bitvector& operator&=(const bitvector& other);
   bitvector& operator|=(const bitvector& other);

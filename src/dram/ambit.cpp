@@ -274,14 +274,13 @@ void ambit_engine::write_vector(const bulk_vector& v, const bitvector& data) {
   if (data.size() != v.size) {
     throw std::invalid_argument("write_vector: size mismatch");
   }
+  // Row r holds bits [r * row_bits, (r + 1) * row_bits); every row is
+  // materialized, even one past the vector's end.
   const bits row_bits = mem_.org().row_bits();
   for (std::size_t r = 0; r < v.rows.size(); ++r) {
-    bitvector& row = mem_.row(v.rows[r]);
-    for (std::size_t i = 0; i < row_bits; ++i) {
-      const std::size_t bit = r * row_bits + i;
-      if (bit >= data.size()) break;
-      row.set(i, data.get(bit));
-    }
+    const std::size_t first = std::min(r * row_bits, data.size());
+    mem_.row(v.rows[r]).copy_bits(0, data, first,
+                                  std::min(row_bits, data.size() - first));
   }
 }
 
@@ -289,12 +288,9 @@ bitvector ambit_engine::read_vector(const bulk_vector& v) const {
   bitvector out(v.size);
   const bits row_bits = mem_.org().row_bits();
   for (std::size_t r = 0; r < v.rows.size(); ++r) {
-    const bitvector& row = mem_.row_or_zero(v.rows[r]);
-    for (std::size_t i = 0; i < row_bits; ++i) {
-      const std::size_t bit = r * row_bits + i;
-      if (bit >= out.size()) break;
-      out.set(bit, row.get(i));
-    }
+    const std::size_t first = std::min(r * row_bits, out.size());
+    out.copy_bits(first, mem_.row_or_zero(v.rows[r]), 0,
+                  std::min(row_bits, out.size() - first));
   }
   return out;
 }
@@ -373,9 +369,9 @@ void ambit_engine::execute(bulk_op op, const bulk_vector& a,
     }
     seq.on_complete = [this, op, ra, rb, rd, remaining,
                        done](picoseconds) {
-      const bitvector va = mem_.row_or_zero(ra);
-      const bitvector vb = mem_.row_or_zero(rb);
-      mem_.row(rd) = apply(op, va, vb);
+      // Operands are read in place: apply() runs before mem_.row(rd)
+      // can insert a row, and rd may alias ra or rb.
+      mem_.row(rd) = apply(op, mem_.row_or_zero(ra), mem_.row_or_zero(rb));
       if (--*remaining == 0 && done) done();
     };
     mem_.enqueue_bulk(ra.channel, std::move(seq));

@@ -116,7 +116,9 @@ struct reader {
 
   bitvector bv() {
     const std::uint64_t size_bits = u64();
-    if (size_bits > static_cast<std::uint64_t>(max_frame_bytes) * 8) {
+    // Bound the declared size by the bytes left before allocating it.
+    const std::uint64_t words = size_bits / 64 + (size_bits % 64 != 0);
+    if (words > (size - pos) / 8) {
       throw protocol_error("bitvector larger than its frame");
     }
     bitvector v(static_cast<std::size_t>(size_bits));

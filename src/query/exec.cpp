@@ -165,10 +165,8 @@ query_result execute(pim_table& table, const query_plan& plan,
   result.selection.resize(table.rows());
   for (int p = 0; p < table.partitions(); ++p) {
     const partition_outcome& out = outcomes[static_cast<std::size_t>(p)];
-    const std::size_t base = table.partition_base(p);
-    for (std::size_t r = 0; r < out.selection.size(); ++r) {
-      result.selection.set(base + r, out.selection.get(r));
-    }
+    result.selection.copy_bits(table.partition_base(p), out.selection, 0,
+                               out.selection.size());
     result.ops_submitted += out.ops;
     result.samples.insert(result.samples.end(), out.samples.begin(),
                           out.samples.end());

@@ -50,19 +50,6 @@ std::shared_ptr<request_state> attach(request& r) {
   return r.completion;
 }
 
-/// Applies `data`'s row_index-th row_bits-sized slice to a physical
-/// row — the same packing write_vector/read_vector use.
-void write_row_slice(dram::memory_system& mem, const dram::address& phys,
-                     const bitvector& data, std::size_t row_index) {
-  const bits row_bits = mem.org().row_bits();
-  bitvector& row = mem.row(phys);
-  for (std::size_t i = 0; i < row_bits; ++i) {
-    const std::size_t bit = row_index * row_bits + i;
-    if (bit >= data.size()) break;
-    row.set(i, data.get(bit));
-  }
-}
-
 }  // namespace
 
 shard::shard(int index, const core::pim_system_config& system_config,
@@ -421,8 +408,12 @@ void shard::run() {
       }
     } else if (outstanding > 0) {
       // Queue drained (or admission-capped): advance simulated time so
-      // in-flight tasks make progress toward completion.
+      // in-flight tasks make progress toward completion. With nothing
+      // queued, yield first so client threads sharing this core can
+      // enqueue before the slice is spent on an empty queue.
+      const bool queue_empty = total_queued_ == 0;
       lock.unlock();
+      if (queue_empty) std::this_thread::yield();
       advance(ticks_per_slice);
       lock.lock();
     } else {
@@ -576,15 +567,20 @@ void shard::submit_psm(session_id stream, const dram::address& phys,
 void shard::stage_vector(session_id stream, const dram::bulk_vector& phys,
                          std::shared_ptr<const bitvector> data,
                          const std::shared_ptr<transfer_group>& group) {
+  const bits row_bits = sys_.org().row_bits();
   for (std::size_t i = 0; i < phys.rows.size(); ++i) {
     const dram::address row = phys.rows[i];
-    submit_psm(stream, row, /*inbound=*/true, [this, row, data, i, group] {
-      // The PSM copy just deposited the wire row's (meaningless) bits;
-      // overwrite with the transfer's real payload before any
-      // hazard-dependent successor is released.
-      write_row_slice(sys_.memory(), row, *data, i);
-      if (group && --group->remaining == 0) group->finalize();
-    });
+    const std::size_t first = std::min(i * row_bits, data->size());
+    const std::size_t count = std::min(row_bits, data->size() - first);
+    submit_psm(stream, row, /*inbound=*/true,
+               [this, row, data, first, count, group] {
+                 // The PSM copy just deposited the wire row's
+                 // (meaningless) bits; overwrite them with this row's
+                 // slice of the payload before any hazard-dependent
+                 // successor is released.
+                 sys_.memory().row(row).copy_bits(0, *data, first, count);
+                 if (group && --group->remaining == 0) group->finalize();
+               });
   }
 }
 
@@ -826,28 +822,17 @@ void shard::exec_read(request& req, const read_args& args) {
     return;
   }
   // RowClone-priced export: one PSM copy per row onto the wire rows;
-  // each row's bits are captured at its copy's completion instant, so
-  // the row-hazard graph — not a drain — orders the export against
-  // in-flight compute.
-  auto rows = std::make_shared<std::vector<bitvector>>(phys.rows.size());
+  // each row's bits are copied into the result at its copy's
+  // completion instant, so the row-hazard graph — not a drain — orders
+  // the export against in-flight compute.
+  const bits size = phys.size;
+  auto out = std::make_shared<bitvector>(size);
   auto group = std::make_shared<transfer_group>();
   group->remaining = static_cast<int>(phys.rows.size());
-  const bits size = phys.size;
-  const bits row_bits = sys_.org().row_bits();
   auto completion = req.completion;
-  group->finalize = [this, rows, completion, size, row_bits] {
-    bitvector out(size);
-    for (std::size_t r = 0; r < rows->size(); ++r) {
-      const bitvector& row = (*rows)[r];
-      if (row.empty()) continue;  // never-materialized row reads as zero
-      for (std::size_t i = 0; i < row_bits; ++i) {
-        const std::size_t bit = r * row_bits + i;
-        if (bit >= size) break;
-        out.set(bit, row.get(i));
-      }
-    }
+  group->finalize = [this, out, completion, size] {
     request_result res;
-    res.data = std::move(out);
+    res.data = std::move(*out);
     // Priced exports are service-internal (plan fetches, migration
     // captures) — never a client call, so no latency sample.
     complete(*completion, std::move(res));
@@ -857,11 +842,15 @@ void shard::exec_read(request& req, const read_args& args) {
       stats_.exported_bytes += size / 8;
     }
   };
+  const bits row_bits = sys_.org().row_bits();
   for (std::size_t i = 0; i < phys.rows.size(); ++i) {
     const dram::address row = phys.rows[i];
+    const std::size_t first = std::min(i * row_bits, size);
+    const std::size_t count = std::min(row_bits, size - first);
     submit_psm(req.session, row, /*inbound=*/false,
-               [this, row, rows, i, group] {
-                 (*rows)[i] = sys_.memory().row_or_zero(row);
+               [this, row, out, first, count, group] {
+                 out->copy_bits(first, sys_.memory().row_or_zero(row), 0,
+                                count);
                  if (--group->remaining == 0) group->finalize();
                });
   }

@@ -162,6 +162,49 @@ TEST(BitvectorTest, WordAccessMasksPadding) {
   EXPECT_TRUE(v.get(64));
 }
 
+// copy_bits against a get/set reference, at offsets and counts around
+// word boundaries. The destination starts as ones, so matching the
+// reference also shows that bits outside the range keep their values.
+// It ends in a partial word, which the (65, 200) case writes up to.
+TEST(BitvectorTest, CopyBitsMatchesBitwiseReference) {
+  rng gen(7);
+  const bitvector src = bitvector::random(400, gen);
+  for (const std::size_t src_pos : {0, 1, 63, 64, 65}) {
+    for (const std::size_t dst_pos : {0, 1, 63, 64, 65}) {
+      for (const std::size_t count : {0, 1, 63, 64, 65, 200}) {
+        bitvector dst(265, true);
+        bitvector expected = dst;
+        for (std::size_t i = 0; i < count; ++i) {
+          expected.set(dst_pos + i, src.get(src_pos + i));
+        }
+        dst.copy_bits(dst_pos, src, src_pos, count);
+        const std::string at = std::to_string(src_pos) + "->" +
+                               std::to_string(dst_pos) + " x" +
+                               std::to_string(count);
+        EXPECT_EQ(dst, expected) << at;
+        EXPECT_EQ(dst.get_word(dst.word_count() - 1) >> (dst.size() % 64),
+                  0u)
+            << at;
+      }
+    }
+  }
+}
+
+TEST(BitvectorTest, CopyBitsRejectsOutOfRangeBeforeWriting) {
+  const bitvector src(100, true);
+  bitvector dst(100);
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(dst.copy_bits(50, src, 0, 51), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(0, src, 60, 41), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(101, src, 0, 0), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(0, src, 101, 0), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(1, src, 0, huge), std::out_of_range);
+  EXPECT_THROW(dst.copy_bits(0, src, huge, 2), std::out_of_range);
+  EXPECT_TRUE(dst.none());
+  dst.copy_bits(100, src, 100, 0);  // empty range at the very end
+  EXPECT_TRUE(dst.none());
+}
+
 // De Morgan's law as a property over random vectors.
 class BitvectorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -1056,6 +1056,37 @@ TEST_P(AmbitEngineTest, IssuesExpectedTraCount) {
   EXPECT_EQ(c.get("dram.tra"), static_cast<std::uint64_t>(4 * tra_per_row));
 }
 
+// write_vector/read_vector pack a vector row by row exactly as a
+// bit-by-bit copy does, over rows that already hold ones: the last
+// row's bits past the vector's end keep them.
+TEST(AmbitRowPackingTest, MatchesBitwiseReference) {
+  const organization org = small_org();
+  memory_system mem(org, ddr3_1600());
+  ambit_allocator alloc(org);
+  ambit_engine engine(mem);
+  const bits row_bits = org.row_bits();
+  const bits size = 2 * row_bits + 1000;
+  const auto group = alloc.allocate_group(size, 2);
+  const bulk_vector& v = group[0];
+  ASSERT_EQ(v.rows.size(), 3u);
+  for (const address& a : v.rows) mem.row(a).fill(true);
+  rng gen(17);
+  const bitvector data = bitvector::random(size, gen);
+  engine.write_vector(v, data);
+  for (std::size_t r = 0; r < v.rows.size(); ++r) {
+    bitvector expected(row_bits, true);
+    for (std::size_t i = 0; i < row_bits && r * row_bits + i < size; ++i) {
+      expected.set(i, data.get(r * row_bits + i));
+    }
+    EXPECT_EQ(mem.row_or_zero(v.rows[r]), expected) << "row " << r;
+  }
+  EXPECT_EQ(engine.read_vector(v), data);
+
+  const bulk_vector& unwritten = group[1];
+  EXPECT_FALSE(mem.row_materialized(unwritten.rows[0]));
+  EXPECT_EQ(engine.read_vector(unwritten), bitvector(size));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOps, AmbitEngineTest,
                          ::testing::ValuesIn(all_bulk_ops()),
                          [](const ::testing::TestParamInfo<bulk_op>& info) {

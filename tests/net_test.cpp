@@ -353,6 +353,30 @@ TEST(protocol, rejects_truncated_body) {
   EXPECT_EQ(splitter.last_id(), 7u);  // failed after the id was read
 }
 
+TEST(protocol, rejects_bitvector_larger_than_its_frame_before_allocating) {
+  // A small write frame whose bitvector declares 2^29 bits (64 MiB):
+  // the decoder must refuse it from the bytes left, not allocate first.
+  write_req req;
+  req.session = 1;
+  req.v.size = 64;
+  req.v.rows.push_back({});
+  req.data = sample_bits(64, 4);
+  std::vector<std::uint8_t> wire = encode_frame(9, req);
+  ASSERT_LT(wire.size(), 100u);
+  const std::uint64_t declared = std::uint64_t{1} << 29;
+  const std::size_t size_at = wire.size() - 8 * req.data.word_count() - 8;
+  std::memcpy(wire.data() + size_at, &declared, 8);  // little-endian host
+  frame_splitter splitter;
+  splitter.feed(wire.data(), wire.size());
+  try {
+    splitter.next();
+    FAIL() << "oversized bitvector decoded";
+  } catch (const protocol_error& e) {
+    EXPECT_STREQ(e.what(), "protocol error: bitvector larger than its frame");
+  }
+  EXPECT_EQ(splitter.last_id(), 9u);
+}
+
 TEST(protocol, rejects_unknown_opcode) {
   std::vector<std::uint8_t> wire = encode_frame(3, wait_req{});
   wire[8 + 1 + 8] = 0xee;  // opcode byte after version + id
