@@ -5,6 +5,19 @@
 
 namespace pim::dram {
 
+namespace {
+
+// counters() names, in controller::counter order.
+constexpr const char* kCounterNames[] = {
+    "ctrl.requests",   "ctrl.bulk_sequences", "ctrl.row_hits",
+    "ctrl.row_misses", "ctrl.row_conflicts",  "ctrl.refresh_pre",
+    "dram.act",        "dram.bulk_act",       "dram.copy_act",
+    "dram.tra",        "dram.pre",            "dram.bulk_pre",
+    "dram.rd",         "dram.bulk_rd",        "dram.wr",
+    "dram.bulk_wr",    "dram.ref"};
+
+}  // namespace
+
 controller::controller(const organization& org, const timing_params& timing,
                        row_policy policy, bool bulk_power_exempt,
                        std::size_t queue_capacity, mapping_policy mapping)
@@ -14,8 +27,12 @@ controller::controller(const organization& org, const timing_params& timing,
       mapper_(org, mapping),
       checker_(org, timing, bulk_power_exempt),
       queue_capacity_(queue_capacity),
+      locked_(static_cast<std::size_t>(org.ranks) * org.banks, 0),
       refresh_pending_(static_cast<std::size_t>(org.ranks), false),
-      next_refresh_(timing.trefi) {}
+      next_refresh_(timing.trefi) {
+  static_assert(std::size(kCounterNames) ==
+                static_cast<std::size_t>(counter::count_));
+}
 
 bool controller::enqueue(request req) {
   if (queue_.size() >= queue_capacity_) return false;
@@ -28,7 +45,7 @@ bool controller::enqueue(request req) {
   pr.req = std::move(req);
   pr.enqueue_cycle = cycle_;
   queue_.push_back(std::move(pr));
-  counters_.add("ctrl.requests");
+  count(counter::requests);
   return true;
 }
 
@@ -38,40 +55,77 @@ void controller::enqueue_bulk(bulk_sequence seq) {
   }
   bulk_state pb;
   for (const command& cmd : seq.commands) {
-    pb.banks.insert(flat_bank(cmd.addr));
+    const int flat = flat_bank(cmd.addr);
+    if (std::find(pb.banks.begin(), pb.banks.end(), flat) == pb.banks.end()) {
+      pb.banks.push_back(flat);
+    }
   }
+  std::sort(pb.banks.begin(), pb.banks.end());
   pb.seq = std::move(seq);
   bulk_queue_.push_back(std::move(pb));
-  counters_.add("ctrl.bulk_sequences");
+  count(counter::bulk_sequences);
 }
 
-bool controller::bank_locked(int flat) const {
-  return locked_banks_.count(flat) != 0;
+counter_set controller::counters() const {
+  counter_set out;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] != 0) out.add(kCounterNames[i], counts_[i]);
+  }
+  return out;
+}
+
+void controller::set_locked(const bulk_state& pb, bool locked) {
+  for (int flat : pb.banks) locked_[static_cast<std::size_t>(flat)] = locked;
+  locked_count_ = locked ? locked_count_ + pb.banks.size()
+                         : locked_count_ - pb.banks.size();
+}
+
+bool controller::bank_open(int flat) const {
+  return checker_.status(flat / org_.banks, flat % org_.banks) ==
+         bank_status::active;
+}
+
+command controller::precharge_of(int flat) const {
+  command pre;
+  pre.kind = command_kind::precharge;
+  pre.addr.rank = flat / org_.banks;
+  pre.addr.bank = flat % org_.banks;
+  return pre;
+}
+
+bool controller::start_blocked(const bulk_state& pb) const {
+  for (int flat : pb.banks) {
+    if (bank_locked(flat) ||
+        refresh_pending_[static_cast<std::size_t>(flat / org_.banks)]) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void controller::issue(const command& cmd) {
   checker_.issue(cmd, cycle_);
   switch (cmd.kind) {
     case command_kind::activate:
-      counters_.add(cmd.bulk ? "dram.bulk_act" : "dram.act");
+      count(cmd.bulk ? counter::bulk_act : counter::act);
       break;
     case command_kind::copy_activate:
-      counters_.add("dram.copy_act");
+      count(counter::copy_act);
       break;
     case command_kind::triple_activate:
-      counters_.add("dram.tra");
+      count(counter::tra);
       break;
     case command_kind::precharge:
-      counters_.add(cmd.bulk ? "dram.bulk_pre" : "dram.pre");
+      count(cmd.bulk ? counter::bulk_pre : counter::pre);
       break;
     case command_kind::read:
-      counters_.add(cmd.bulk ? "dram.bulk_rd" : "dram.rd");
+      count(cmd.bulk ? counter::bulk_rd : counter::rd);
       break;
     case command_kind::write:
-      counters_.add(cmd.bulk ? "dram.bulk_wr" : "dram.wr");
+      count(cmd.bulk ? counter::bulk_wr : counter::wr);
       break;
     case command_kind::refresh:
-      counters_.add("dram.ref");
+      count(counter::ref);
       break;
   }
 }
@@ -83,17 +137,14 @@ bool controller::try_issue_refresh() {
     // sequence holds them; the sequence will finish and release them),
     // then issue REF once everything is closed.
     bool any_open = false;
-    for (int bk = 0; bk < org_.banks; ++bk) {
-      if (checker_.status(rk, bk) != bank_status::active) continue;
+    for (int flat = rk * org_.banks; flat < (rk + 1) * org_.banks; ++flat) {
+      if (!bank_open(flat)) continue;
       any_open = true;
-      if (bank_locked(rk * org_.banks + bk)) continue;
-      command pre;
-      pre.kind = command_kind::precharge;
-      pre.addr.rank = rk;
-      pre.addr.bank = bk;
+      if (bank_locked(flat)) continue;
+      const command pre = precharge_of(flat);
       if (checker_.earliest(pre) <= cycle_) {
         issue(pre);
-        counters_.add("ctrl.refresh_pre");
+        count(counter::refresh_pre);
         return true;
       }
     }
@@ -114,41 +165,26 @@ bool controller::try_issue_bulk() {
   for (std::size_t i = 0; i < bulk_queue_.size(); ++i) {
     bulk_state& pb = bulk_queue_[i];
     if (!pb.started) {
-      // Only start a sequence when its banks are free and no refresh is
-      // waiting on the ranks it touches (so refresh cannot starve).
-      bool blocked = false;
-      for (int flat : pb.banks) {
-        const int rk = flat / org_.banks;
-        if (bank_locked(flat) ||
-            refresh_pending_[static_cast<std::size_t>(rk)]) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked) continue;
+      if (start_blocked(pb)) continue;
       // Host traffic may have left a row open (open-row policy); the
       // sequence's activations need precharged banks, so close them.
+      bool any_open = false;
       for (int flat : pb.banks) {
-        const int rk = flat / org_.banks;
-        const int bk = flat % org_.banks;
-        if (checker_.status(rk, bk) != bank_status::active) continue;
-        command pre;
-        pre.kind = command_kind::precharge;
-        pre.addr.rank = rk;
-        pre.addr.bank = bk;
+        if (!bank_open(flat)) continue;
+        const command pre = precharge_of(flat);
         if (checker_.earliest(pre) <= cycle_) {
           issue(pre);
           return true;
         }
-        blocked = true;  // wait for the precharge window
+        any_open = true;  // wait for the precharge window
       }
-      if (blocked) continue;
+      if (any_open) continue;
     }
     const command& cmd = pb.seq.commands[pb.next];
     if (checker_.earliest(cmd) > cycle_) continue;
     if (!pb.started) {
       pb.started = true;
-      locked_banks_.insert(pb.banks.begin(), pb.banks.end());
+      set_locked(pb, true);
     }
     issue(cmd);
     ++pb.next;
@@ -164,7 +200,7 @@ bool controller::try_issue_bulk() {
       c.enqueued = cycle_;
       completions_.push_back(std::move(c));
       ++inflight_;
-      for (int flat : pb.banks) locked_banks_.erase(flat);
+      set_locked(pb, false);
       bulk_queue_.erase(bulk_queue_.begin() +
                         static_cast<std::ptrdiff_t>(i));
     }
@@ -208,11 +244,11 @@ bool controller::try_issue_request() {
       if (!it->classified) {
         it->classified = true;
         if (is_column) {
-          counters_.add("ctrl.row_hits");
+          count(counter::row_hits);
         } else if (cmd->kind == command_kind::activate) {
-          counters_.add("ctrl.row_misses");
+          count(counter::row_misses);
         } else {
-          counters_.add("ctrl.row_conflicts");
+          count(counter::row_conflicts);
         }
       }
       issue(*cmd);
@@ -267,6 +303,58 @@ void controller::tick() {
     }
   }
   finish_completions();
+}
+
+cycles controller::next_event_cycle() const {
+  // The candidates tick() tries, in the same shapes as try_issue_*:
+  // each fixed until some command issues, a completion lands or the
+  // refresh deadline passes.
+  cycles next = next_refresh_;
+  auto candidate = [&](const command& cmd) {
+    next = std::min(next, checker_.earliest(cmd));
+  };
+  for (int rk = 0; rk < org_.ranks; ++rk) {
+    if (!refresh_pending_[static_cast<std::size_t>(rk)]) continue;
+    bool any_open = false;
+    for (int flat = rk * org_.banks; flat < (rk + 1) * org_.banks; ++flat) {
+      if (!bank_open(flat)) continue;
+      any_open = true;
+      if (!bank_locked(flat)) candidate(precharge_of(flat));
+    }
+    if (!any_open) {
+      command ref;
+      ref.kind = command_kind::refresh;
+      ref.addr.rank = rk;
+      candidate(ref);
+    }
+  }
+  for (const bulk_state& pb : bulk_queue_) {
+    if (!pb.started) {
+      // A held bank or a rank awaiting refresh clears only when a
+      // command issues, which is an event of its own.
+      if (start_blocked(pb)) continue;
+      bool any_open = false;
+      for (int flat : pb.banks) {
+        if (!bank_open(flat)) continue;
+        any_open = true;
+        candidate(precharge_of(flat));
+      }
+      if (any_open) continue;
+    }
+    candidate(pb.seq.commands[pb.next]);
+  }
+  for (const pending_request& pr : queue_) {
+    if (const auto cmd = next_command(pr)) candidate(*cmd);
+  }
+  for (const completion& c : completions_) next = std::min(next, c.done);
+  return std::max(next, cycle_ + 1);
+}
+
+void controller::jump_to(cycles cycle) {
+  if (cycle < cycle_) {
+    throw std::logic_error("controller::jump_to: the clock runs forward");
+  }
+  cycle_ = cycle;
 }
 
 bool controller::idle() const {

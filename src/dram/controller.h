@@ -3,10 +3,10 @@
 #ifndef PIM_DRAM_CONTROLLER_H
 #define PIM_DRAM_CONTROLLER_H
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/stats.h"
@@ -39,13 +39,25 @@ class controller {
   /// Advances one DRAM clock cycle, issuing at most one command.
   void tick();
 
+  /// Earliest cycle (> now) at which tick() could change any state: the
+  /// refresh deadline, the PRE/REF of a rank awaiting refresh, the next
+  /// command of each queued bulk sequence or request, or a completion.
+  /// Every tick before it only advances the clock.
+  cycles next_event_cycle() const;
+
+  /// Moves the clock to `cycle` without ticking the cycles passed over;
+  /// each of them must hold no event (`cycle < next_event_cycle()`).
+  void jump_to(cycles cycle);
+
   /// True when no request or bulk work is pending or in flight.
   bool idle() const;
 
   cycles now_cycles() const { return cycle_; }
   picoseconds now_ps() const { return cycle_ * timing_.tck_ps; }
 
-  const counter_set& counters() const { return counters_; }
+  /// Command and request counts by name ("dram.act", "ctrl.row_hits",
+  /// ...); a count never incremented is absent.
+  counter_set counters() const;
   const summary& read_latency_ps() const { return read_latency_ps_; }
   const organization& org() const { return org_; }
   const timing_params& timing() const { return timing_; }
@@ -61,7 +73,7 @@ class controller {
   }
 
   /// Number of banks currently locked by in-flight bulk sequences.
-  std::size_t busy_banks() const { return locked_banks_.size(); }
+  std::size_t busy_banks() const { return locked_count_; }
 
  private:
   struct pending_request {
@@ -73,15 +85,33 @@ class controller {
 
   struct bulk_state {
     bulk_sequence seq;
-    std::size_t next = 0;           // next command index
-    std::set<int> banks;            // flat bank ids touched
+    std::size_t next = 0;    // next command index
+    std::vector<int> banks;  // flat bank ids touched, ascending, unique
     bool started = false;
+  };
+
+  /// What counters() reports, indexed on the issue path; names in
+  /// controller.cpp.
+  enum class counter {
+    requests, bulk_sequences, row_hits, row_misses, row_conflicts,
+    refresh_pre, act, bulk_act, copy_act, tra, pre, bulk_pre, rd, bulk_rd,
+    wr, bulk_wr, ref, count_
   };
 
   int flat_bank(const address& a) const {
     return a.rank * org_.banks + a.bank;
   }
-  bool bank_locked(int flat) const;
+  bool bank_locked(int flat) const {
+    return locked_[static_cast<std::size_t>(flat)] != 0;
+  }
+  bool bank_open(int flat) const;
+  void set_locked(const bulk_state& pb, bool locked);
+  void count(counter c) { ++counts_[static_cast<std::size_t>(c)]; }
+  command precharge_of(int flat) const;
+
+  /// An unstarted sequence waits while a bank it touches is held or a
+  /// rank it touches awaits refresh (so refresh cannot starve).
+  bool start_blocked(const bulk_state& pb) const;
 
   /// Issues the command and accounts for it. Returns completion info
   /// for column commands.
@@ -106,7 +136,9 @@ class controller {
   std::deque<pending_request> queue_;
   std::size_t queue_capacity_;
   std::deque<bulk_state> bulk_queue_;
-  std::set<int> locked_banks_;
+  // Per flat bank: held by a started bulk sequence.
+  std::vector<std::uint8_t> locked_;
+  std::size_t locked_count_ = 0;
 
   // Refresh state: one pending flag per rank.
   std::vector<bool> refresh_pending_;
@@ -121,7 +153,8 @@ class controller {
   std::vector<completion> completions_;
   std::size_t inflight_ = 0;
 
-  counter_set counters_;
+  std::array<std::uint64_t, static_cast<std::size_t>(counter::count_)>
+      counts_{};
   summary read_latency_ps_;
 };
 

@@ -1,5 +1,7 @@
 #include "dram/memory_system.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/energy_constants.h"
@@ -46,16 +48,29 @@ void memory_system::tick() {
   for (auto& ch : channels_) ch->tick();
 }
 
+cycles memory_system::next_event_cycle() const {
+  cycles next = std::numeric_limits<cycles>::max();
+  for (const auto& ch : channels_) {
+    next = std::min(next, ch->next_event_cycle());
+  }
+  return next;
+}
+
+void memory_system::jump_to(cycles cycle) {
+  for (auto& ch : channels_) ch->jump_to(cycle);
+}
+
 cycles memory_system::drain(cycles max_cycles) {
-  cycles advanced = 0;
-  while (!idle() && advanced < max_cycles) {
+  const cycles start = now_cycles();
+  const cycles limit = start + max_cycles;
+  while (!idle() && now_cycles() < limit) {
+    jump_to(std::min(next_event_cycle(), limit) - 1);
     tick();
-    ++advanced;
   }
   if (!idle()) {
     throw std::runtime_error("memory_system::drain: work did not drain");
   }
-  return advanced;
+  return now_cycles() - start;
 }
 
 bool memory_system::idle() const {

@@ -34,8 +34,16 @@ class memory_system {
   /// Advances every channel by one DRAM clock.
   void tick();
 
-  /// Ticks until all channels are idle or `max_cycles` elapses; returns
-  /// the number of cycles advanced.
+  /// Earliest cycle at which tick() could change any channel's state
+  /// (controller::next_event_cycle, minimum over channels).
+  cycles next_event_cycle() const;
+
+  /// Moves every channel clock to `cycle` together, without ticking;
+  /// the cycles passed over must hold no event.
+  void jump_to(cycles cycle);
+
+  /// Advances until all channels are idle or `max_cycles` elapses,
+  /// ticking only event cycles; returns the number of cycles advanced.
   cycles drain(cycles max_cycles = 100'000'000);
 
   bool idle() const;

@@ -8,6 +8,13 @@
 
 namespace pim::runtime {
 
+namespace {
+
+// wait()/wait_all() watchdog, in simulated cycles.
+constexpr cycles kMaxWaitCycles = 200'000'000;
+
+}  // namespace
+
 scheduler::scheduler(dram::memory_system& mem, dram::ambit_engine& ambit,
                      dram::rowclone_engine& rowclone, scheduler_config config)
     : mem_(mem),
@@ -554,29 +561,57 @@ void scheduler::tick() {
   process_completions();
 }
 
+cycles scheduler::next_event_cycle() const {
+  cycles next = mem_.next_event_cycle();
+  // tick() finishes a run in the first cycle whose time reaches its
+  // deadline.
+  const picoseconds tck = mem_.timing().tck_ps;
+  for (const executor_pool* pool : {&host_pool_, &ndp_pool_}) {
+    for (const auto& [id, deadline] : pool->running) {
+      next = std::min(next, (deadline + tck - 1) / tck);
+    }
+  }
+  return std::max(next, mem_.now_cycles() + 1);
+}
+
+template <typename Done>
+bool scheduler::run_until(cycles limit, Done done) {
+  while (!done()) {
+    const cycles now = mem_.now_cycles();
+    if (now >= limit) return false;
+    const cycles next = std::min(next_event_cycle(), limit);
+    // Nothing changes before `next`: busy_banks() holds, so the skipped
+    // cycles add to the stats exactly what ticking them would.
+    const auto gap = static_cast<std::uint64_t>(next - now - 1);
+    stats_.ticks += gap;
+    stats_.busy_bank_ticks += gap * mem_.busy_banks();
+    mem_.jump_to(next - 1);
+    tick();
+  }
+  return true;
+}
+
 bool scheduler::idle() const { return outstanding_ == 0 && mem_.idle(); }
 
 void scheduler::wait(const task_future& future) {
   if (!future.valid()) {
     throw std::invalid_argument("scheduler::wait: empty future");
   }
-  cycles waited = 0;
-  while (!future.ready()) {
-    if (++waited > config_.max_wait_cycles) {
-      throw std::runtime_error("scheduler::wait: watchdog expired");
-    }
-    tick();
+  if (!run_until(mem_.now_cycles() + kMaxWaitCycles,
+                 [&] { return future.ready(); })) {
+    throw std::runtime_error("scheduler::wait: watchdog expired");
   }
 }
 
 void scheduler::wait_all() {
-  cycles waited = 0;
-  while (!idle()) {
-    if (++waited > config_.max_wait_cycles) {
-      throw std::runtime_error("scheduler::wait_all: watchdog expired");
-    }
-    tick();
+  if (!run_until(mem_.now_cycles() + kMaxWaitCycles,
+                 [this] { return idle(); })) {
+    throw std::runtime_error("scheduler::wait_all: watchdog expired");
   }
+}
+
+void scheduler::advance(cycles n) {
+  run_until(mem_.now_cycles() + n, [this] { return idle(); });
 }
 
 }  // namespace pim::runtime

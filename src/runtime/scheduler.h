@@ -34,7 +34,6 @@ namespace pim::runtime {
 struct scheduler_config {
   int host_slots = 1;       // concurrent host fallback executions
   int ndp_slots = 4;        // concurrent logic-layer kernel executions
-  cycles max_wait_cycles = 200'000'000;  // wait() watchdog
 };
 
 /// The test every fair-share weight passes — stream weights here,
@@ -105,11 +104,15 @@ class scheduler {
   /// True when no task is pending, in flight, or queued on an executor.
   bool idle() const;
 
-  /// Ticks until `future` completes; throws on watchdog expiry.
+  /// Advances until `future` completes; throws once a watchdog's worth
+  /// of simulated cycles passes without it.
   void wait(const task_future& future);
 
-  /// Ticks until every submitted task has completed.
+  /// Advances until every submitted task has completed; same watchdog.
   void wait_all();
+
+  /// Advances `n` cycles, or fewer if the scheduler goes idle first.
+  void advance(cycles n);
 
   /// Invoked once per task, at completion, with its final report (the
   /// runtime hangs per-backend utilization accounting here).
@@ -180,6 +183,17 @@ class scheduler {
   void complete(task_id id);
   void apply_host_result(const node& n);
   void process_completions();
+
+  /// Earliest cycle at which tick() could change any state: the memory
+  /// system's next event or an executor-pool deadline.
+  cycles next_event_cycle() const;
+
+  /// The event loop behind wait, wait_all and advance: until `done()`,
+  /// jumps over the cycles before the next event (capped at `limit`),
+  /// counting them into the stats as tick() would, then ticks it.
+  /// Returns false if `limit` is reached first.
+  template <typename Done>
+  bool run_until(cycles limit, Done done);
 
   dram::memory_system& mem_;
   dram::ambit_engine& ambit_;

@@ -25,7 +25,8 @@ constexpr std::size_t max_inflight = 64;
 /// convoy that shows up when a migrated session's forwarded backlog
 /// lands on a quiet shard).
 constexpr int session_max_inflight = 8;
-/// DRAM clocks advanced per worker iteration.
+/// DRAM clocks a worker slice spans (the scheduler ticks only the
+/// cycles among them where something can happen).
 constexpr int ticks_per_slice = 128;
 
 /// Admission stamp for wait-state attribution: a run_task request
@@ -1017,10 +1018,7 @@ void shard::exec_install(request& req, install_args& args) {
 void shard::drain() { sys_.wait_all(); }
 
 void shard::advance(int ticks) {
-  runtime::scheduler& sched = sys_.runtime().sched();
-  for (int i = 0; i < ticks && !sys_.runtime().idle(); ++i) {
-    sched.tick();
-  }
+  sys_.runtime().sched().advance(ticks);
   // Mirror the simulated clock for client-thread admission stamping.
   // Relaxed is fine: the stamp may lag (the scheduler clamps
   // admit <= submit), it must only never lead the worker's own reads.

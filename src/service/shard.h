@@ -210,8 +210,8 @@ class shard {
   void settle(request_state& state, bool queued);
   bool pop_next_locked(request& out);
   exec_result execute(request& req);
-  void drain();             // worker: tick until the runtime is idle
-  void advance(int ticks);  // worker: tick a slice
+  void drain();             // worker: advance until the runtime is idle
+  void advance(int ticks);  // worker: advance a slice
   void apply_weights_locked();
   void publish_stats_locked();
   void fail_all_queued_locked();

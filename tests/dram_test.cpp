@@ -2,6 +2,8 @@
 // constraints, controller scheduling, RowClone, and Ambit.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.h"
 #include "dram/ambit.h"
 #include "dram/ambit_model.h"
@@ -461,6 +463,120 @@ TEST(MemorySystemTest, BusyBankIntrospectionTracksBulkSequences) {
   EXPECT_TRUE(done);
   EXPECT_EQ(mem.busy_banks(), 0u);
   EXPECT_EQ(mem.pending_bulk(), 0u);
+}
+
+// One command stream on two channels, drained by ticking every cycle
+// (the reference) or by the event-driven drain: host reads and writes
+// with row hits and conflicts, a request chained from a completion
+// callback, Ambit ops of both arities and RowClone FPM/PSM/memset, a
+// refresh that must precharge a host-opened row first, over more than
+// four refresh intervals.
+struct drain_run {
+  std::vector<cycles> drains;
+  std::vector<std::pair<int, picoseconds>> done;  // (id, completion time)
+  std::vector<cycles> seen;  // the cycle each completion callback ran in
+  std::map<std::string, std::uint64_t> counters;
+  std::vector<bitvector> rows;
+  cycles end_cycle = 0;
+};
+
+drain_run run_drain_stream(bool events) {
+  const organization org = small_org();  // 2 channels x 2 ranks x 4 banks
+  memory_system mem(org, ddr3_1600());
+  ambit_allocator alloc(org);
+  ambit_engine ambit(mem);
+  rowclone_engine rowclone(mem);
+  auto drain = [&] {
+    if (events) return mem.drain();
+    cycles n = 0;
+    for (; !mem.idle(); ++n) mem.tick();
+    return n;
+  };
+  drain_run run;
+  auto note = [&](int id) {
+    return [&run, &mem, id](picoseconds t) {
+      run.done.emplace_back(id, t);
+      run.seen.push_back(mem.now_cycles());
+    };
+  };
+  auto host = [&](request_kind kind, address a, int id) {
+    request req;
+    req.kind = kind;
+    req.addr = mem.mapper().linearize(a);
+    req.on_complete = note(id);
+    EXPECT_TRUE(mem.enqueue(std::move(req)));
+  };
+
+  // Twelve rows per vector: every (channel, bank) of rank 0, then four
+  // of rank 1.
+  const bits size = 11 * org.row_bits() + 5;
+  std::vector<bulk_vector> v = alloc.allocate_group(size, 3);
+  rng gen(23);
+  ambit.write_vector(v[0], bitvector::random(size, gen));
+  ambit.write_vector(v[1], bitvector::random(size, gen));
+  for (int phase = 0; phase < 8; ++phase) {
+    const int id = phase * 10;
+    address hot = v[0].rows[static_cast<std::size_t>(phase % 4)];
+    host(request_kind::read, hot, id);
+    hot.column = 1;
+    host(request_kind::write, hot, id + 1);
+    address conflict = hot;
+    conflict.row += 1;
+    host(request_kind::read, conflict, id + 2);
+    // A request issued from a completion callback, mid-drain.
+    request req;
+    req.kind = request_kind::read;
+    req.addr = mem.mapper().linearize(v[1].rows[4]);
+    req.on_complete = [&, id](picoseconds t) {
+      note(id + 3)(t);
+      host(request_kind::write, v[1].rows[5], id + 4);
+    };
+    EXPECT_TRUE(mem.enqueue(std::move(req)));
+    const bulk_op op = phase % 2 == 0 ? bulk_op::and_op : bulk_op::not_op;
+    ambit.execute(op, v[0], phase % 2 == 0 ? &v[1] : nullptr, v[2],
+                  [&, id] { note(id + 5)(0); });
+    rowclone.copy_fpm(v[2].rows[6], v[1].rows[6], note(id + 6));
+    rowclone.copy_psm(v[0].rows[1], v[2].rows[2], note(id + 7));
+    rowclone.memset_row(v[2].rows[9], phase % 3 == 0, note(id + 8));
+    run.drains.push_back(drain());
+    // Idle gap, so later phases meet the refresh deadlines at other
+    // points of their work.
+    for (cycles i = 0; i < 2'500 + 331 * phase; ++i) mem.tick();
+  }
+  // A refresh deadline while a host request holds a rank-1 row open:
+  // the waiting rank's PRE and REF are the only events left.
+  const cycles trefi = mem.timing().trefi;
+  const cycles deadline = (mem.now_cycles() / trefi + 2) * trefi;
+  while (mem.now_cycles() < deadline - 10) mem.tick();
+  host(request_kind::read, v[0].rows[8], 90);
+  run.drains.push_back(drain());
+  run.counters = mem.counters().all();
+  run.end_cycle = mem.now_cycles();
+  for (const bulk_vector& vec : v) {
+    for (const address& a : vec.rows) run.rows.push_back(mem.row_or_zero(a));
+  }
+  return run;
+}
+
+TEST(MemorySystemTest, EventDrivenDrainMatchesTickingEveryCycle) {
+  const drain_run want = run_drain_stream(false);
+  const drain_run got = run_drain_stream(true);
+  EXPECT_EQ(want.drains, got.drains);
+  EXPECT_EQ(want.done, got.done);
+  EXPECT_EQ(want.seen, got.seen);
+  EXPECT_EQ(want.counters, got.counters);
+  EXPECT_TRUE(want.rows == got.rows);
+  EXPECT_EQ(want.end_cycle, got.end_cycle);
+
+  // The stream covered what it claims to.
+  EXPECT_GT(want.end_cycle, 4 * ddr3_1600().trefi);
+  EXPECT_GE(want.counters.at("dram.ref"), 4u * 2u * 2u);
+  EXPECT_GT(want.counters.at("ctrl.row_hits"), 0u);
+  EXPECT_GT(want.counters.at("ctrl.row_conflicts"), 0u);
+  EXPECT_GT(want.counters.at("ctrl.refresh_pre"), 0u);
+  EXPECT_GT(want.counters.at("dram.tra"), 0u);
+  EXPECT_GT(want.counters.at("dram.bulk_rd"), 0u);
+  EXPECT_EQ(want.done.size(), 8u * 9u + 1u);
 }
 
 TEST(MemorySystemTest, RowStoreLazilyZero) {

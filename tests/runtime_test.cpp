@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 
 #include "core/pim_system.h"
 #include "runtime/workload.h"
@@ -287,6 +288,28 @@ TEST(SchedulerTest, WaitOnEmptyFutureThrows) {
   core::pim_system sys(small_config());
   task_future empty;
   EXPECT_THROW(sys.wait(empty), std::invalid_argument);
+}
+
+TEST(SchedulerTest, WaitOnAForeignFutureExpiresTheWatchdog) {
+  // A future from another system never completes here. The wait runs
+  // the whole watchdog on the simulated clock (idle but for refresh)
+  // and throws: it neither returns early nor spins in place.
+  core::pim_system sys(small_config());
+  core::pim_system other(small_config());
+  auto vecs = other.allocate(1'000, 3);
+  const task_future foreign =
+      other.submit_bulk(dram::bulk_op::and_op, vecs[0], &vecs[1], vecs[2]);
+  try {
+    sys.wait(foreign);
+    FAIL() << "wait returned on a future it cannot complete";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(foreign.ready());
+  EXPECT_EQ(sys.memory().now_cycles(), 200'000'000);
+  EXPECT_EQ(sys.runtime().stats().sched.ticks, 200'000'000u);
+  EXPECT_GT(sys.memory().counters().get("dram.ref"), 30'000u);
 }
 
 TEST(SchedulerTest, InvalidTaskRejectedWithoutCorruptingState) {
@@ -635,6 +658,245 @@ TEST(WorkloadDriverTest, StressManyConcurrentStreams) {
   // Re-running on the same system must also drain cleanly.
   const drive_result r2 = driver.run(test_streams(4), false);
   EXPECT_EQ(r2.stats.sched.completed, 252u);  // cumulative counters
+}
+
+// ---------------------------------------------------------------------------
+// Event-driven clock: the same run as ticking every cycle
+// ---------------------------------------------------------------------------
+
+// How a run moves simulated time: bare tick() on every cycle (the
+// reference), or the event loops behind wait, wait_all, advance and
+// memory_system::drain.
+enum class clock_mode { every_cycle, events };
+
+struct clock_run {
+  std::vector<task_report> reports;  // submission order
+  scheduler_stats stats;
+  std::map<std::string, std::uint64_t> counters;
+  std::vector<std::pair<picoseconds, cycles>> requests;  // done, seen at
+  std::vector<cycles> drains;
+  std::vector<bitvector> rows;
+  cycles end_cycle = 0;
+};
+
+// One mixed stream on two channels: Ambit ops of both arities, RowClone
+// FPM/PSM/memset, host and NDP executor tasks whose service times end
+// between DRAM cycles, host requests hitting an open row, a task
+// submitted from a completion callback, a refresh that must precharge
+// a host-opened row first, and work spread over more than four refresh
+// intervals.
+clock_run run_mixed_stream(clock_mode mode) {
+  core::pim_system_config cfg = small_config();
+  cfg.org.channels = 2;
+  cfg.org.ranks = 2;
+  cfg.runtime.sched.ndp_slots = 2;
+  core::pim_system sys(cfg);
+  scheduler& sched = sys.runtime().sched();
+  dram::memory_system& mem = sys.memory();
+  const bool events = mode == clock_mode::events;
+  // By value: completion callbacks append to `futures` mid-wait.
+  auto wait = [&](task_future f) {
+    if (events) return sched.wait(f);
+    while (!f.ready()) sched.tick();
+  };
+  auto wait_all = [&] {
+    if (events) return sched.wait_all();
+    while (!sched.idle()) sched.tick();
+  };
+  auto advance = [&](cycles n) {
+    if (events) return sched.advance(n);
+    for (cycles i = 0; i < n && !sched.idle(); ++i) sched.tick();
+  };
+  auto drain = [&] {
+    if (events) return mem.drain();
+    cycles n = 0;
+    for (; !mem.idle(); ++n) mem.tick();
+    return n;
+  };
+
+  clock_run run;
+  std::vector<task_future> futures;
+  // `service` is the executor time of host/NDP tasks (tCK is 1250 ps).
+  auto submit = [&](task_payload payload, backend_kind where,
+                    picoseconds service = 0,
+                    std::function<void(const task_report&)> on_complete = {}) {
+    pim_task task;
+    task.payload = std::move(payload);
+    task.on_complete = std::move(on_complete);
+    core::offload_decision d;
+    d.host_time = service;
+    d.pim_time = service;
+    futures.push_back(sched.submit(std::move(task), where, d));
+  };
+  auto request = [&](dram::address a, int column, dram::request_kind kind) {
+    a.column = column;
+    dram::request req;
+    req.kind = kind;
+    req.addr = mem.mapper().linearize(a);
+    req.on_complete = [&run, &mem](picoseconds t) {
+      run.requests.emplace_back(t, mem.now_cycles());
+    };
+    EXPECT_TRUE(mem.enqueue(std::move(req)));
+  };
+
+  // Six rows per vector: banks 0-3 of channel 0, then banks 0-1 of
+  // channel 1. `w` lands on channel 1, bank 2.
+  const bits row_bits = sys.org().row_bits();
+  const bits size = 5 * row_bits + 77;
+  std::vector<dram::bulk_vector> v = sys.allocate(size, 4);
+  std::vector<dram::bulk_vector> w = sys.allocate(row_bits, 2);
+  // Second rows on channel 0, bank 0 of rank 1.
+  std::vector<dram::bulk_vector> u = sys.allocate(2 * row_bits, 2);
+  rng gen(17);
+  sys.write(v[0], bitvector::random(size, gen));
+  sys.write(v[1], bitvector::random(size, gen));
+  sys.write(w[0], bitvector::random(row_bits, gen));
+  auto bulk = [&](dram::bulk_op op, int a, int b, int d) {
+    bulk_bool_args args;
+    args.op = op;
+    args.a = v[static_cast<std::size_t>(a)];
+    if (b >= 0) args.b = v[static_cast<std::size_t>(b)];
+    args.d = v[static_cast<std::size_t>(d)];
+    return task_payload{std::move(args)};
+  };
+  const dram::address open_row = v[0].rows[0];  // channel 0, bank 0
+  const host_kernel_args kernel{core::kernel_profile{"k", 1'000, 4'096, 0.0}};
+
+  // Host requests leave open_row's bank open for the AND behind them.
+  request(open_row, 0, dram::request_kind::read);
+  request(open_row, 1, dram::request_kind::read);
+  request(open_row, 2, dram::request_kind::write);
+  submit(bulk(dram::bulk_op::and_op, 0, 1, 2), backend_kind::ambit);
+  submit(bulk(dram::bulk_op::not_op, 0, -1, 3), backend_kind::ambit);
+  submit(row_copy_args{v[2].rows[0], v[3].rows[0], true},
+         backend_kind::rowclone);
+  submit(kernel, backend_kind::host, 10'001);
+  submit(kernel, backend_kind::ndp_logic, 3'333);
+  submit(kernel, backend_kind::ndp_logic, 7'777);
+  submit(kernel, backend_kind::ndp_logic, 2'501);  // queues for a slot
+  submit(bulk(dram::bulk_op::xor_op, 0, 1, 2), backend_kind::host, 4'321);
+  wait(futures[1]);
+  advance(300);
+
+  for (int round = 0; round < 6; ++round) {
+    // A long NDP run keeps the scheduler busy across refresh deadlines.
+    submit(kernel, backend_kind::ndp_logic, 6'000'000 + 1'111 * round);
+    request(open_row, 3 + round % 4, round % 2 == 0
+                                         ? dram::request_kind::read
+                                         : dram::request_kind::write);
+    submit(row_copy_args{v[0].rows[4], w[1].rows[0], false},
+           backend_kind::rowclone);
+    submit(row_memset_args{w[0].rows[0], round % 2 == 0},
+           backend_kind::rowclone);
+    submit(bulk(dram::bulk_op::or_op, 2, 1, 3), backend_kind::ambit, 0,
+           [&, round](const task_report&) {
+             // Submitted at the completion instant, inside the tick.
+             submit(bulk(round % 2 == 0 ? dram::bulk_op::nor_op
+                                        : dram::bulk_op::not_op,
+                         3, round % 2 == 0 ? 0 : -1, 2),
+                    backend_kind::ambit);
+           });
+    advance(4'000 + 37 * round);
+    if (round % 3 == 2) wait(futures.back());
+  }
+  wait_all();
+
+  // A refresh deadline while rank 1 has a row open and a memset queued
+  // behind it: the waiting rank's PRE and REF are the only events
+  // before the NDP deadline.
+  const cycles trefi = sys.memory().timing().trefi;
+  submit(kernel, backend_kind::ndp_logic, 3 * trefi * 1'250 + 7);
+  const cycles deadline = (mem.now_cycles() / trefi + 2) * trefi;
+  advance(deadline - 10 - mem.now_cycles());
+  request(u[1].rows[1], 0, dram::request_kind::read);
+  advance(2);  // the request's ACT goes first
+  submit(row_memset_args{u[0].rows[1], true}, backend_kind::rowclone);
+  wait_all();
+
+  // Host requests drained by the memory system alone: row hits, a row
+  // conflict, and both channels.
+  request(open_row, 5, dram::request_kind::read);
+  request(open_row, 6, dram::request_kind::read);
+  dram::address conflict = open_row;
+  conflict.row += 1;
+  request(conflict, 0, dram::request_kind::write);
+  request(w[0].rows[0], 0, dram::request_kind::read);
+  run.drains.push_back(drain());
+  run.drains.push_back(drain());  // idle: zero
+
+  for (const task_future& f : futures) run.reports.push_back(f.report());
+  run.stats = sched.stats();
+  run.counters = mem.counters().all();
+  for (const auto* group : {&v, &w, &u}) {
+    for (const dram::bulk_vector& vec : *group) {
+      for (const dram::address& a : vec.rows) {
+        run.rows.push_back(mem.row_or_zero(a));
+      }
+    }
+  }
+  run.end_cycle = mem.now_cycles();
+  return run;
+}
+
+void expect_same_report(const task_report& want, const task_report& got) {
+  std::vector<std::int64_t> a;
+  std::vector<std::int64_t> b;
+  for_each_wire_field(want, [&](const auto& f) {
+    a.push_back(static_cast<std::int64_t>(f));
+  });
+  for_each_wire_field(got, [&](const auto& f) {
+    b.push_back(static_cast<std::int64_t>(f));
+  });
+  EXPECT_EQ(a, b) << "task " << want.id;
+}
+
+void expect_same_stats(const scheduler_stats& want,
+                       const scheduler_stats& got) {
+  EXPECT_EQ(want.submitted, got.submitted);
+  EXPECT_EQ(want.completed, got.completed);
+  EXPECT_EQ(want.hazard_deferred, got.hazard_deferred);
+  EXPECT_EQ(want.ticks, got.ticks);
+  EXPECT_EQ(want.busy_bank_ticks, got.busy_bank_ticks);
+  EXPECT_EQ(want.peak_busy_banks, got.peak_busy_banks);
+  EXPECT_EQ(want.peak_in_flight, got.peak_in_flight);
+  EXPECT_EQ(want.energy_fj, got.energy_fj);
+  EXPECT_EQ(want.insitu_bytes, got.insitu_bytes);
+  EXPECT_EQ(want.offchip_bytes, got.offchip_bytes);
+  EXPECT_EQ(want.wire_bytes, got.wire_bytes);
+  EXPECT_EQ(want.wait_admission_ps, got.wait_admission_ps);
+  EXPECT_EQ(want.wait_hazard_ps, got.wait_hazard_ps);
+  EXPECT_EQ(want.wait_bank_ps, got.wait_bank_ps);
+  EXPECT_EQ(want.exec_ps, got.exec_ps);
+  EXPECT_EQ(want.wire_ps, got.wire_ps);
+  EXPECT_EQ(want.task_lifetime_ps, got.task_lifetime_ps);
+}
+
+TEST(EventClockTest, MatchesTickingEveryCycle) {
+  const clock_run want = run_mixed_stream(clock_mode::every_cycle);
+  const clock_run got = run_mixed_stream(clock_mode::events);
+
+  ASSERT_EQ(want.reports.size(), got.reports.size());
+  for (std::size_t i = 0; i < want.reports.size(); ++i) {
+    expect_same_report(want.reports[i], got.reports[i]);
+  }
+  expect_same_stats(want.stats, got.stats);
+  EXPECT_EQ(want.counters, got.counters);
+  EXPECT_EQ(want.requests, got.requests);
+  EXPECT_EQ(want.drains, got.drains);
+  EXPECT_TRUE(want.rows == got.rows);
+  EXPECT_EQ(want.end_cycle, got.end_cycle);
+
+  // The stream covered what it claims to.
+  EXPECT_GT(want.end_cycle, 4 * dram::ddr3_1600().trefi);
+  EXPECT_GE(want.counters.at("dram.ref"), 8u);  // two ranks, four rounds
+  EXPECT_GT(want.counters.at("ctrl.row_hits"), 0u);
+  EXPECT_GT(want.counters.at("ctrl.row_conflicts"), 0u);
+  EXPECT_GT(want.counters.at("dram.tra"), 0u);
+  EXPECT_GT(want.counters.at("dram.bulk_rd"), 0u);  // PSM
+  EXPECT_EQ(want.reports.size(), 8u + 6u * 5u + 2u);
+  EXPECT_GT(want.drains[0], 0);
+  EXPECT_EQ(want.drains[1], 0);
+  EXPECT_GT(want.stats.ticks, 0u);
 }
 
 }  // namespace

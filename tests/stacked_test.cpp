@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "stacked/hmc.h"
-#include "stacked/vault_channel.h"
 
 namespace pim::stacked {
 namespace {
@@ -23,50 +22,6 @@ TEST(LogicLayerBudgetTest, FractionsAndFit) {
   EXPECT_NEAR(budget.vault_fraction(0.41), 0.0932, 0.001);
   EXPECT_TRUE(budget.fits_per_vault(1.56));
   EXPECT_FALSE(budget.fits_per_vault(5.0));
-}
-
-TEST(VaultChannelTest, RejectsNonPositiveBandwidth) {
-  EXPECT_THROW(vault_channel(0.0, 100), std::invalid_argument);
-}
-
-TEST(VaultChannelTest, SingleAccessLatency) {
-  vault_channel ch(16.0, 45'000);  // 16 GB/s, 45 ns
-  // 64 B at 16 GB/s = 4 ns transfer + 45 ns latency.
-  EXPECT_EQ(ch.access(0, 64), 4'000 + 45'000);
-  EXPECT_EQ(ch.bytes_served(), 64u);
-}
-
-TEST(VaultChannelTest, BackToBackAccessesQueue) {
-  vault_channel ch(16.0, 45'000);
-  const picoseconds first = ch.access(0, 64);
-  const picoseconds second = ch.access(0, 64);
-  EXPECT_EQ(second - first, 4'000);  // pipelined behind the first
-}
-
-TEST(VaultChannelTest, SaturatesAtConfiguredBandwidth) {
-  vault_channel ch(16.0, 45'000);
-  picoseconds done = 0;
-  const int accesses = 10000;
-  for (int i = 0; i < accesses; ++i) done = ch.access(0, 64);
-  const double gbps = gigabytes_per_second(
-      static_cast<bytes>(accesses) * 64, done);
-  EXPECT_NEAR(gbps, 16.0, 0.5);
-  EXPECT_NEAR(ch.utilization(done), 1.0, 0.01);
-}
-
-TEST(VaultChannelTest, IdleGapsLowerUtilization) {
-  vault_channel ch(16.0, 0);
-  ch.access(0, 64);
-  ch.access(1'000'000, 64);  // arrives much later
-  EXPECT_LT(ch.utilization(1'004'000), 0.02);
-}
-
-TEST(VaultChannelTest, ResetClears) {
-  vault_channel ch(16.0, 10);
-  ch.access(0, 4096);
-  ch.reset();
-  EXPECT_EQ(ch.bytes_served(), 0u);
-  EXPECT_EQ(ch.free_at(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,14 @@
 """Compare BENCH_*.json emitted by two runs and flag perf regressions.
 
 Usage: bench_diff.py PREV_DIR CURR_DIR [--threshold PCT]
+       bench_diff.py --exact BASELINE_DIR CURR_DIR
+
+--exact checks benches whose every leaf is simulated or analytic (no
+wall clock) against a committed baseline: each BENCH_*.json in
+BASELINE_DIR must reappear in CURR_DIR with the same leaves, integers,
+booleans and strings equal and floats within 1e-9 relative (so a
+last-ulp libm difference between toolchains passes). Exit code 1 on
+any missing file, missing or extra leaf, or differing value.
 
 Walks every BENCH_*.json present in both directories, pairs numeric
 leaves by their JSON path, and reports the classified performance
@@ -175,6 +183,62 @@ def diff_file(name, prev, curr, threshold):
     return regressions, sim_failures
 
 
+def leaves(node, path=""):
+    """Yields (path, value) for every leaf, numeric or not."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def same_leaf(want, got):
+    """Integers, booleans and strings exactly; floats to 1e-9 relative."""
+    kinds = {type(want), type(got)}
+    if float in kinds and kinds <= {int, float}:
+        return abs(want - got) <= 1e-9 * max(abs(want), abs(got))
+    return type(want) is type(got) and want == got
+
+
+def check_exact(base_dir, curr_dir):
+    """Returns the number of baseline mismatches, printing each."""
+    print("## Simulated baseline check")
+    failures = 0
+    names = sorted(f for f in os.listdir(base_dir)
+                   if f.startswith("BENCH_") and f.endswith(".json"))
+    for name in names:
+        with open(os.path.join(base_dir, name)) as f:
+            base = dict(leaves(json.load(f)))
+        try:
+            with open(os.path.join(curr_dir, name)) as f:
+                curr = dict(leaves(json.load(f)))
+        except (OSError, json.JSONDecodeError) as e:
+            print(f"- `{name}`: no fresh file to check ({e})")
+            failures += 1
+            continue
+        for path in sorted(set(base) | set(curr)):
+            if path not in curr:
+                print(f"- `{name}` `{path}`: missing (baseline {base[path]!r})")
+            elif path not in base:
+                print(f"- `{name}` `{path}`: not in the baseline "
+                      f"({curr[path]!r})")
+            elif not same_leaf(base[path], curr[path]):
+                print(f"- `{name}` `{path}`: {curr[path]!r}, baseline "
+                      f"{base[path]!r}")
+            else:
+                continue
+            failures += 1
+        print(f"- `{name}`: {len(base)} leaves checked")
+    if failures:
+        print(f"\n**{failures} leaf mismatch(es) against {base_dir}: the "
+              f"simulated behaviour changed. A change that means to move "
+              f"it updates the baseline in the same diff.**")
+    return failures
+
+
 PROFILE_FILE = "PROFILE_query.json"
 
 
@@ -293,7 +357,12 @@ def main():
     parser.add_argument("--accept-sim-changes", metavar="REASON", default=None,
                         help="report simulated-clock drift but exit 0, "
                              "recording REASON in the summary")
+    parser.add_argument("--exact", action="store_true",
+                        help="check CURR_DIR leaf for leaf against the "
+                             "baseline in PREV_DIR")
     args = parser.parse_args()
+    if args.exact:
+        return 1 if check_exact(args.prev_dir, args.curr_dir) else 0
 
     prev_files = {f for f in os.listdir(args.prev_dir)
                   if f.startswith("BENCH_") and f.endswith(".json")}
