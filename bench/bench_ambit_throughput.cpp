@@ -21,8 +21,7 @@ double simulated_throughput(dram::bulk_op op, bool power_exempt) {
   org.subarrays = 8;
   org.rows = 1024;
   org.columns = 128;  // 8 KiB rows
-  dram::memory_system mem(org, dram::ddr3_1600(), dram::row_policy::open,
-                          power_exempt);
+  dram::memory_system mem(org, dram::ddr3_1600(), power_exempt);
   dram::ambit_allocator alloc(org);
   dram::ambit_engine engine(mem);
   const int rows_per_bank = 4;

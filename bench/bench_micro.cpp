@@ -109,14 +109,12 @@ void bm_rmat_generation(benchmark::State& state) {
 }
 BENCHMARK(bm_rmat_generation);
 
-// Row-buffer policy ablation: open vs closed rows under a streaming
-// access pattern (DESIGN.md decision #1).
-void bm_row_policy(benchmark::State& state) {
-  const auto policy = state.range(0) == 0 ? dram::row_policy::open
-                                          : dram::row_policy::closed;
+// Streaming reads through the open-row FR-FCFS path: 512 consecutive
+// lines, row hits after each row's first activation.
+void bm_controller_sequential_reads(benchmark::State& state) {
   for (auto _ : state) {
     dram::organization org = dram::ddr3_dimm(1);
-    dram::memory_system mem(org, dram::ddr3_1600(), policy);
+    dram::memory_system mem(org, dram::ddr3_1600());
     for (std::uint64_t i = 0; i < 512; ++i) {
       dram::request req;
       req.kind = dram::request_kind::read;
@@ -127,7 +125,7 @@ void bm_row_policy(benchmark::State& state) {
     benchmark::DoNotOptimize(mem.now_cycles());
   }
 }
-BENCHMARK(bm_row_policy)->Arg(0)->Arg(1);
+BENCHMARK(bm_controller_sequential_reads);
 
 }  // namespace
 

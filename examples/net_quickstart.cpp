@@ -20,17 +20,18 @@ int main(int argc, char** argv) {
   using namespace pim;
 
   config cfg;
+  std::uint16_t port = 0;
+  service::synthetic_config chain;
   try {
     cfg = config::from_args({argv + 1, argv + argc});
+    port = static_cast<std::uint16_t>(cfg.get_int("port", 7321, 1, 65535));
+    chain.ops = static_cast<int>(cfg.get_int("ops", 24, 1, 1'000'000));
   } catch (const std::exception& e) {
     std::cerr << "net_quickstart: " << e.what() << "\n";
     return 2;
   }
   const std::string host = cfg.get_string("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(cfg.get_int("port", 7321));
 
-  service::synthetic_config chain;
-  chain.ops = static_cast<int>(cfg.get_int("ops", 24));
   chain.groups = 4;
   chain.vector_bits = 4 * 8192;
   chain.seed = 42;

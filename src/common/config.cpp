@@ -31,19 +31,25 @@ std::string config::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t config::get_int(const std::string& key,
-                             std::int64_t fallback) const {
+std::int64_t config::get_int(const std::string& key, std::int64_t fallback,
+                             std::int64_t lo, std::int64_t hi) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  std::int64_t value = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t value = std::stoll(it->second, &pos);
+    value = std::stoll(it->second, &pos);
     if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("config: '" + key + "' is not an integer: " +
                                 it->second);
   }
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("config: '" + key + "' = " + it->second +
+                                " is outside [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
 }
 
 double config::get_double(const std::string& key, double fallback) const {

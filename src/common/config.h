@@ -7,6 +7,7 @@
 #define PIM_COMMON_CONFIG_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,10 +27,15 @@ class config {
   bool has(const std::string& key) const;
 
   /// Typed getters with defaults; throw std::invalid_argument when the
-  /// stored text does not parse as the requested type.
+  /// stored text does not parse as the requested type, or when a stored
+  /// integer lies outside [lo, hi] (so a narrowing cast of the result
+  /// cannot wrap).
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  std::int64_t get_int(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

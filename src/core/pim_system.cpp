@@ -7,8 +7,7 @@ namespace pim::core {
 
 pim_system::pim_system(pim_system_config config)
     : config_(config),
-      mem_(config.org, config.timing, dram::row_policy::open,
-           config.bulk_power_exempt),
+      mem_(config.org, config.timing, config.bulk_power_exempt),
       allocator_(config.org),
       ambit_(mem_, config.rich_decoder),
       rowclone_(mem_),
@@ -51,55 +50,23 @@ std::uint64_t pim_system::digest(std::uint64_t seed,
   return fnv1a(seed, read(v));
 }
 
-op_report pim_system::timed(std::function<void()> run, bytes output_bytes) {
-  const dram::dram_energy before =
-      compute_dram_energy(mem_.counters(), config_.org, 0,
-                          energy::offchip_io_pj_per_bit);
-  const picoseconds start = mem_.now_ps();
-  run();
-  const picoseconds end = mem_.now_ps();
-  const dram::dram_energy after =
-      compute_dram_energy(mem_.counters(), config_.org, 0,
-                          energy::offchip_io_pj_per_bit);
-  return op_report::make(end - start, after.total() - before.total(),
-                         output_bytes);
-}
-
 op_report pim_system::execute(dram::bulk_op op, const dram::bulk_vector& a,
                               const dram::bulk_vector* b,
                               dram::bulk_vector& d) {
-  return timed(
-      [&] {
-        runtime::pim_task task = runtime::make_bulk_task(op, a, b, d);
-        // The synchronous API always uses the in-DRAM engine; offload
-        // routing is the async path's job.
-        task.forced_backend = runtime::backend_kind::ambit;
-        runtime_.wait(runtime_.submit(std::move(task)));
-      },
-      d.size / 8);
-}
-
-op_report pim_system::copy_row(const dram::address& src,
-                               const dram::address& dst, bool same_subarray) {
-  return timed(
-      [&] {
-        runtime::pim_task task;
-        task.payload = runtime::row_copy_args{src, dst, same_subarray};
-        task.forced_backend = runtime::backend_kind::rowclone;
-        runtime_.wait(runtime_.submit(std::move(task)));
-      },
-      config_.org.row_bytes());
-}
-
-op_report pim_system::memset_row(const dram::address& dst, bool ones) {
-  return timed(
-      [&] {
-        runtime::pim_task task;
-        task.payload = runtime::row_memset_args{dst, ones};
-        task.forced_backend = runtime::backend_kind::rowclone;
-        runtime_.wait(runtime_.submit(std::move(task)));
-      },
-      config_.org.row_bytes());
+  const auto energy_now = [this] {
+    return compute_dram_energy(mem_.counters(), config_.org, 0,
+                               energy::offchip_io_pj_per_bit)
+        .total();
+  };
+  const picojoules energy_before = energy_now();
+  const picoseconds start = mem_.now_ps();
+  runtime::pim_task task = runtime::make_bulk_task(op, a, b, d);
+  // The synchronous API always uses the in-DRAM engine; offload
+  // routing is the async path's job.
+  task.forced_backend = runtime::backend_kind::ambit;
+  runtime_.wait(runtime_.submit(std::move(task)));
+  return op_report::make(mem_.now_ps() - start, energy_now() - energy_before,
+                         d.size / 8);
 }
 
 runtime::task_future pim_system::submit(runtime::pim_task task) {

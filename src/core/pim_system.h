@@ -70,11 +70,6 @@ class pim_system {
   op_report execute(dram::bulk_op op, const dram::bulk_vector& a,
                     const dram::bulk_vector* b, dram::bulk_vector& d);
 
-  /// Synchronous RowClone row copy / initialization.
-  op_report copy_row(const dram::address& src, const dram::address& dst,
-                     bool same_subarray);
-  op_report memset_row(const dram::address& dst, bool ones);
-
   // --- asynchronous path -------------------------------------------------
   // Submit many tasks, then wait; independent tasks overlap across
   // banks and channels instead of draining one at a time. See
@@ -99,8 +94,6 @@ class pim_system {
   const dram::organization& org() const { return config_.org; }
 
  private:
-  op_report timed(std::function<void()> run, bytes output_bytes);
-
   pim_system_config config_;
   dram::memory_system mem_;
   dram::ambit_allocator allocator_;

@@ -1,11 +1,11 @@
-// Per-channel DRAM controller: FR-FCFS scheduling, open-row policy,
-// refresh management, and bulk in-DRAM operation sequencing.
+// Per-channel DRAM controller: FR-FCFS scheduling of host requests
+// (rows stay open until a conflict, a refresh or a bulk sequence closes
+// them), refresh management, and bulk in-DRAM operation sequencing.
 #ifndef PIM_DRAM_CONTROLLER_H
 #define PIM_DRAM_CONTROLLER_H
 
 #include <array>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,33 +16,29 @@
 
 namespace pim::dram {
 
-/// Row-buffer management policy.
-enum class row_policy {
-  open,   // keep rows open until a conflict or refresh (FR-FCFS default)
-  closed  // precharge as soon as no pending request hits the row
-};
-
 class controller {
  public:
-  controller(const organization& org, const timing_params& timing,
-             row_policy policy = row_policy::open,
-             bool bulk_power_exempt = true, std::size_t queue_capacity = 64,
-             mapping_policy mapping = mapping_policy::row_bank_column);
+  /// Host requests a channel holds before enqueue() refuses one.
+  static constexpr std::size_t queue_capacity = 64;
 
-  /// Enqueues a host request; returns false when the queue is full.
-  bool enqueue(request req);
+  controller(const organization& org, const timing_params& timing,
+             bool bulk_power_exempt = true);
+
+  /// Enqueues a host request for the column at `at`, which the caller
+  /// has decoded; returns false when the queue is full.
+  bool enqueue(request req, const address& at);
 
   /// Enqueues a bulk in-DRAM command sequence (unbounded queue; the
   /// bulk engines self-throttle).
   void enqueue_bulk(bulk_sequence seq);
 
-  /// Advances one DRAM clock cycle, issuing at most one command.
+  /// Advances one DRAM clock cycle, issuing at most one command: the
+  /// first candidate (for_each_candidate) whose timing allows it.
   void tick();
 
   /// Earliest cycle (> now) at which tick() could change any state: the
-  /// refresh deadline, the PRE/REF of a rank awaiting refresh, the next
-  /// command of each queued bulk sequence or request, or a completion.
-  /// Every tick before it only advances the clock.
+  /// refresh deadline, the earliest issue cycle of any candidate, or a
+  /// completion. Every tick before it only advances the clock.
   cycles next_event_cycle() const;
 
   /// Moves the clock to `cycle` without ticking the cycles passed over;
@@ -58,11 +54,7 @@ class controller {
   /// Command and request counts by name ("dram.act", "ctrl.row_hits",
   /// ...); a count never incremented is absent.
   counter_set counters() const;
-  const summary& read_latency_ps() const { return read_latency_ps_; }
-  const organization& org() const { return org_; }
-  const timing_params& timing() const { return timing_; }
 
-  std::size_t pending_requests() const { return queue_.size(); }
   std::size_t pending_bulk() const { return bulk_queue_.size(); }
 
   // --- per-bank busy introspection (for runtime schedulers) -------------
@@ -79,7 +71,6 @@ class controller {
   struct pending_request {
     request req;
     address addr;
-    cycles enqueue_cycle = 0;
     bool classified = false;  // row hit/miss/conflict accounting done
   };
 
@@ -90,6 +81,11 @@ class controller {
     bool started = false;
   };
 
+  struct completion {
+    cycles done = 0;
+    std::function<void(picoseconds)> callback;
+  };
+
   /// What counters() reports, indexed on the issue path; names in
   /// controller.cpp.
   enum class counter {
@@ -97,6 +93,24 @@ class controller {
     refresh_pre, act, bulk_act, copy_act, tra, pre, bulk_pre, rd, bulk_rd,
     wr, bulk_wr, ref, count_
   };
+
+  /// What a candidate command advances when it issues.
+  enum class source { refresh_pre, refresh, bulk_pre, bulk, request };
+
+  /// Calls visit(cmd, source, bulk, request) for every command tick()
+  /// could issue, in tick()'s priority order, until visit returns true:
+  ///   - for each rank awaiting refresh, PREs for its open banks that no
+  ///     bulk sequence holds, then its REF once every bank is closed;
+  ///   - bulk sequences oldest first, each unstarted one preceded by
+  ///     PREs for the rows host traffic left open in its banks;
+  ///   - FR-FCFS host requests: row hits oldest first, then row
+  ///     commands oldest first.
+  /// `bulk` and `request` point at the queue entry the command
+  /// advances (end() for other sources); visit may erase that entry
+  /// when it returns true. `self` is *this, const or not, so tick()
+  /// and next_event_cycle() walk the same code.
+  template <typename Self, typename Visit>
+  static void for_each_candidate(Self& self, Visit visit);
 
   int flat_bank(const address& a) const {
     return a.rank * org_.banks + a.bank;
@@ -113,28 +127,25 @@ class controller {
   /// rank it touches awaits refresh (so refresh cannot starve).
   bool start_blocked(const bulk_state& pb) const;
 
-  /// Issues the command and accounts for it. Returns completion info
-  /// for column commands.
+  /// Next command a request needs given current bank state, or nullopt
+  /// while a bulk sequence holds its bank or its rank awaits refresh.
+  std::optional<command> next_command(const pending_request& pr) const;
+
+  /// Places the command on the bus and counts it.
   void issue(const command& cmd);
 
-  bool try_issue_refresh();
-  bool try_issue_bulk();
-  bool try_issue_request();
+  /// Schedules `callback` for when `cmd`, issued this cycle, finishes:
+  /// column commands after their data burst, row commands at issue.
+  void complete(const command& cmd,
+                std::function<void(picoseconds)> callback);
   void finish_completions();
-
-  /// Next command a request needs given current bank state, or nullopt
-  /// if the bank is locked by a bulk sequence.
-  std::optional<command> next_command(const pending_request& pr) const;
 
   organization org_;
   timing_params timing_;
-  row_policy policy_;
-  address_mapper mapper_;
   timing_checker checker_;
 
   cycles cycle_ = 0;
   std::deque<pending_request> queue_;
-  std::size_t queue_capacity_;
   std::deque<bulk_state> bulk_queue_;
   // Per flat bank: held by a started bulk sequence.
   std::vector<std::uint8_t> locked_;
@@ -144,18 +155,10 @@ class controller {
   std::vector<bool> refresh_pending_;
   cycles next_refresh_ = 0;
 
-  struct completion {
-    cycles done = 0;
-    std::function<void(picoseconds)> callback;
-    cycles enqueued = 0;
-    bool is_read = false;
-  };
   std::vector<completion> completions_;
-  std::size_t inflight_ = 0;
 
   std::array<std::uint64_t, static_cast<std::size_t>(counter::count_)>
       counts_{};
-  summary read_latency_ps_;
 };
 
 }  // namespace pim::dram

@@ -9,7 +9,7 @@
 namespace pim::dram {
 
 memory_system::memory_system(const organization& org,
-                             const timing_params& timing, row_policy policy,
+                             const timing_params& timing,
                              bool bulk_power_exempt, mapping_policy mapping)
     : org_(org),
       timing_(timing),
@@ -19,25 +19,15 @@ memory_system::memory_system(const organization& org,
   channel_org.channels = 1;
   channels_.reserve(static_cast<std::size_t>(org.channels));
   for (int c = 0; c < org.channels; ++c) {
-    channels_.push_back(std::make_unique<controller>(
-        channel_org, timing, policy, bulk_power_exempt,
-        /*queue_capacity=*/64, mapping));
+    channels_.push_back(
+        std::make_unique<controller>(channel_org, timing, bulk_power_exempt));
   }
 }
 
 bool memory_system::enqueue(request req) {
-  const address a = mapper_.decode(req.addr);
-  // Each controller decodes addresses itself with a single-channel
-  // organization; strip the channel digit by re-linearizing.
-  address local = a;
-  local.channel = 0;
-  organization channel_org = org_;
-  channel_org.channels = 1;
-  const address_mapper local_mapper(channel_org, mapper_.policy());
-  request routed = std::move(req);
-  routed.addr = local_mapper.linearize(local);
-  return channels_[static_cast<std::size_t>(a.channel)]->enqueue(
-      std::move(routed));
+  const address at = mapper_.decode(req.addr);
+  return channels_[static_cast<std::size_t>(at.channel)]->enqueue(
+      std::move(req), at);
 }
 
 void memory_system::enqueue_bulk(int channel, bulk_sequence seq) {

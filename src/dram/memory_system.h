@@ -20,11 +20,11 @@ namespace pim::dram {
 class memory_system {
  public:
   memory_system(const organization& org, const timing_params& timing,
-                row_policy policy = row_policy::open,
                 bool bulk_power_exempt = true,
                 mapping_policy mapping = mapping_policy::row_bank_column);
 
-  /// Routes the request to its channel; false when that queue is full.
+  /// Decodes the request's address and routes it to its channel; false
+  /// when that channel's queue is full.
   bool enqueue(request req);
 
   /// Enqueues a bulk command sequence on the channel all its commands

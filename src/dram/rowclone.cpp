@@ -52,7 +52,6 @@ void rowclone_engine::copy_fpm(const address& src, const address& dst,
     if (done) done(t);
   };
   mem_.enqueue_bulk(src.channel, std::move(seq));
-  ++copies_;
 }
 
 void rowclone_engine::copy_psm(const address& src, const address& dst,
@@ -80,7 +79,6 @@ void rowclone_engine::copy_psm(const address& src, const address& dst,
     if (done) done(t);
   };
   mem_.enqueue_bulk(src.channel, std::move(seq));
-  ++copies_;
 }
 
 void rowclone_engine::memset_row(const address& dst, bool ones,
@@ -101,7 +99,6 @@ void rowclone_engine::memset_row(const address& dst, bool ones,
     if (done) done(t);
   };
   mem_.enqueue_bulk(dst.channel, std::move(seq));
-  ++copies_;
 }
 
 }  // namespace pim::dram

@@ -43,13 +43,9 @@ class rowclone_engine {
                      bool same_subarray) const;
   void validate_memset(const address& dst) const;
 
-  /// Number of copies issued, for tests.
-  std::uint64_t copies_issued() const { return copies_; }
-
  private:
   memory_system& mem_;
   subarray_layout layout_;
-  std::uint64_t copies_ = 0;
 };
 
 }  // namespace pim::dram

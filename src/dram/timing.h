@@ -52,8 +52,6 @@ struct timing_params {
 
   int trc() const { return tras + trp; }
 
-  picoseconds cycles_to_ps(cycles n) const { return n * tck_ps; }
-
   /// Data-bus peak bandwidth in GB/s for a 64-bit channel: two
   /// transfers per clock (DDR), 8 bytes per transfer.
   double channel_peak_gbps() const {

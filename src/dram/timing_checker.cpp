@@ -87,7 +87,7 @@ cycles timing_checker::earliest(const command& cmd) const {
       return t;
     }
     case command_kind::write: {
-      t = std::max({t, b.next_column, r.next_write, next_column_});
+      t = std::max({t, b.next_column, next_column_});
       t = std::max(t, bus_free_ - timing_.tcwl);
       return t;
     }

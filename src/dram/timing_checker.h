@@ -67,7 +67,6 @@ class timing_checker {
   struct rank_state {
     cycles next_activate = 0;       // tRRD
     cycles next_read = 0;           // tWTR turnaround
-    cycles next_write = 0;
     cycles next_refresh_done = 0;   // tRFC
     std::deque<cycles> act_window;  // for tFAW
   };

@@ -430,6 +430,17 @@ TEST(ConfigTest, RejectsBadTypes) {
   EXPECT_THROW(c.get_bool("x", false), std::invalid_argument);
 }
 
+TEST(ConfigTest, RangeCheckedIntegers) {
+  const config c =
+      config::from_args({"port=70000", "queue=-1", "shards=0", "ok=65535"});
+  EXPECT_THROW(c.get_int("port", 0, 0, 65535), std::invalid_argument);
+  EXPECT_THROW(c.get_int("queue", 64, 1, 1 << 20), std::invalid_argument);
+  EXPECT_THROW(c.get_int("shards", 4, 1, 256), std::invalid_argument);
+  EXPECT_EQ(c.get_int("ok", 0, 0, 65535), 65535);
+  EXPECT_EQ(c.get_int("missing", 7, 1, 2), 7);  // the fallback is not checked
+  EXPECT_EQ(c.get_int("queue", 0), -1);         // unbounded by default
+}
+
 // ---------------------------------------------------------------------------
 // types
 // ---------------------------------------------------------------------------

@@ -60,16 +60,26 @@ TEST(PimSystemTest, RowCloneCopyAndMemset) {
   dst.row = 7;
   rng gen(2);
   sys.memory().row(src) = bitvector::random(sys.org().row_bits(), gen);
-  const op_report fpm = sys.copy_row(src, dst, /*same_subarray=*/true);
+  // Each task runs alone on the scheduler; returns its execution time.
+  auto run = [&sys](runtime::task_payload payload) {
+    runtime::pim_task task;
+    task.payload = payload;
+    task.forced_backend = runtime::backend_kind::rowclone;
+    const runtime::task_future f = sys.submit(std::move(task));
+    sys.wait(f);
+    return f.report().complete_ps - f.report().start_ps;
+  };
+  const picoseconds fpm = run(runtime::row_copy_args{src, dst, true});
   EXPECT_EQ(sys.memory().row_or_zero(dst), sys.memory().row_or_zero(src));
   dram::address other;
   other.bank = 1;
   other.row = 3;
-  const op_report psm = sys.copy_row(src, other, /*same_subarray=*/false);
-  EXPECT_GT(psm.latency, fpm.latency);  // PSM streams column by column
-  const op_report set = sys.memset_row(dst, true);
+  const picoseconds psm = run(runtime::row_copy_args{src, other, false});
+  EXPECT_EQ(sys.memory().row_or_zero(other), sys.memory().row_or_zero(src));
+  EXPECT_GT(psm, fpm);  // PSM streams column by column
+  const picoseconds set = run(runtime::row_memset_args{dst, true});
   EXPECT_TRUE(sys.memory().row_or_zero(dst).all());
-  EXPECT_GT(set.latency, 0);
+  EXPECT_GT(set, 0);
 }
 
 TEST(PimSystemTest, EnergyAccumulates) {

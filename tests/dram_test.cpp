@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "common/digest.h"
 #include "common/rng.h"
 #include "dram/ambit.h"
 #include "dram/ambit_model.h"
@@ -402,6 +403,87 @@ TEST(ControllerTest, WritesComplete) {
   mem.drain();
   EXPECT_EQ(completed, 16);
   EXPECT_EQ(mem.counters().get("dram.wr"), 16u);
+}
+
+// The schedule the controller settles on, pinned. A seeded stream on
+// 2 channels x 2 ranks mixes host reads and writes that hit, miss and
+// conflict with FPM and PSM copies that hold banks, over several
+// refresh intervals, so refresh deadlines find rows open. The hash
+// folds every completion time, the final cycle and every counters()
+// entry: a change to the order in which commands issue (FR-FCFS,
+// refresh or bulk priority) moves it.
+TEST(ControllerTest, ScheduleMatchesGolden) {
+  const organization org = small_org();
+  memory_system mem(org, ddr3_1600());
+  rowclone_engine rowclone(mem);
+  const subarray_layout layout(org);
+  rng gen(31);
+  auto pick = [&gen](int count) {
+    return static_cast<int>(gen.next_below(static_cast<std::uint64_t>(count)));
+  };
+  std::vector<picoseconds> done;
+  auto note = [&done] {
+    done.push_back(-1);
+    return [&done, id = done.size() - 1](picoseconds t) { done[id] = t; };
+  };
+  for (int round = 0; round < 100; ++round) {
+    // Host traffic on three rows of every bank: hits, misses, conflicts.
+    for (int i = pick(16); i > 0; --i) {
+      const address a{pick(org.channels), pick(org.ranks), pick(org.banks),
+                      pick(3), pick(org.columns)};
+      request req;
+      req.kind =
+          gen.next_bool(0.3) ? request_kind::write : request_kind::read;
+      req.addr = mem.mapper().linearize(a);
+      req.on_complete = note();
+      ASSERT_TRUE(mem.enqueue(std::move(req)));
+    }
+    const address bank{pick(org.channels), pick(org.ranks), pick(org.banks)};
+    if (gen.next_bool(0.5)) {
+      address src = bank;
+      src.row = layout.data_row(1 + pick(3), pick(8));
+      address dst = src;
+      dst.row = src.row + 1 + pick(8);
+      rowclone.copy_fpm(src, dst, note());
+    }
+    if (gen.next_bool(0.3)) {
+      address src = bank;
+      src.row = layout.data_row(1, 0);
+      address dst = src;
+      dst.rank = pick(org.ranks);
+      dst.bank = (bank.bank + 1 + pick(org.banks - 1)) % org.banks;
+      rowclone.copy_psm(src, dst, note());
+    }
+    if (round % 10 == 9) {
+      mem.drain();
+    } else {
+      for (int c = pick(700); c > 0; --c) mem.tick();
+    }
+  }
+  mem.drain();
+
+  std::uint64_t hash = fnv1a_basis;
+  for (const picoseconds t : done) {
+    ASSERT_GE(t, 0);
+    hash = fnv1a(hash, static_cast<std::uint64_t>(t));
+  }
+  hash = fnv1a(hash, static_cast<std::uint64_t>(mem.now_cycles()));
+  const counter_set counters = mem.counters();
+  for (const auto& [name, n] : counters.all()) {
+    for (const char ch : name) {
+      hash = fnv1a(hash, static_cast<std::uint64_t>(ch));
+    }
+    hash = fnv1a(hash, n);
+  }
+  EXPECT_EQ(hash, 0x0acf0730d7b21cd0ull) << "end cycle " << mem.now_cycles();
+
+  // The stream covered what it claims to.
+  EXPECT_GT(mem.now_cycles(), 3 * ddr3_1600().trefi);
+  for (const char* name :
+       {"ctrl.row_hits", "ctrl.row_misses", "ctrl.row_conflicts",
+        "ctrl.refresh_pre", "dram.copy_act", "dram.bulk_rd", "dram.ref"}) {
+    EXPECT_GT(counters.get(name), 0u) << name;
+  }
 }
 
 TEST(MemorySystemTest, RoutesAcrossChannels) {

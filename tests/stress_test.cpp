@@ -23,15 +23,13 @@ organization stress_org() {
 }
 
 /// Randomized request storms: every accepted request must complete,
-/// under open and closed row policies, with refresh interleaved.
-class ControllerFuzzTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, row_policy>> {
-};
+/// with refresh interleaved.
+class ControllerFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ControllerFuzzTest, EveryAcceptedRequestCompletes) {
-  const auto [seed, policy] = GetParam();
+  const std::uint64_t seed = GetParam();
   const organization org = stress_org();
-  memory_system mem(org, ddr3_1600(), policy);
+  memory_system mem(org, ddr3_1600());
   rng gen(seed);
   std::uint64_t accepted = 0;
   std::uint64_t completed = 0;
@@ -55,11 +53,8 @@ TEST_P(ControllerFuzzTest, EveryAcceptedRequestCompletes) {
   EXPECT_GE(mem.counters().get("dram.ref"), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, ControllerFuzzTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6),
-                       ::testing::Values(row_policy::open,
-                                         row_policy::closed)));
+INSTANTIATE_TEST_SUITE_P(Seeds, ControllerFuzzTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 /// Mixed bulk ops and host requests: functional results stay exact
 /// while regular traffic interleaves with Ambit command sequences.

@@ -11,15 +11,19 @@
 //                                            # to the file once bound
 //                                            # (how the CI smoke test
 //                                            # rendezvouses)
-// Keys: host, port, port_file, shards, routing (hash|range),
-//       sessions_per_shard, queue (per-session admission bound),
-//       trace (path: enable tracing at startup, write Chrome trace
-//       JSON there on shutdown; clients can also toggle the tracer
-//       at runtime with the trace_ctl wire op).
+// Keys: host, port (0-65535), port_file, shards (1-256), routing
+//       (hash|range), sessions_per_shard (>= 1), queue (per-session
+//       admission bound, 1-1048576), trace (path: enable tracing at
+//       startup, write Chrome trace JSON there on shutdown; clients can
+//       also toggle the tracer at runtime with the trace_ctl wire op).
+// A malformed or out-of-range argument exits 2 before any socket is
+// bound; a server that fails to start exits 1.
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/config.h"
@@ -37,45 +41,52 @@ void handle_signal(int) { g_stop.store(true); }
 int main(int argc, char** argv) {
   using namespace pim;
 
-  config cfg;
+  net::server_config server_cfg;
+  std::string trace_path;
+  std::string port_file;
   try {
-    cfg = config::from_args({argv + 1, argv + argc});
+    const config cfg = config::from_args({argv + 1, argv + argc});
+    server_cfg.host = cfg.get_string("host", "127.0.0.1");
+    server_cfg.port =
+        static_cast<std::uint16_t>(cfg.get_int("port", 7321, 0, 65535));
+    server_cfg.service.shards =
+        static_cast<int>(cfg.get_int("shards", 4, 1, 256));
+    const std::string routing = cfg.get_string("routing", "hash");
+    if (routing != "hash" && routing != "range") {
+      throw std::invalid_argument("unknown routing " + routing +
+                                  " (hash|range)");
+    }
+    server_cfg.service.routing = routing == "range"
+                                     ? service::shard_routing::range
+                                     : service::shard_routing::hash;
+    server_cfg.service.sessions_per_shard =
+        static_cast<std::uint64_t>(cfg.get_int("sessions_per_shard", 64, 1));
+    server_cfg.service.shard.session_queue_capacity =
+        static_cast<std::size_t>(cfg.get_int("queue", 64, 1, 1 << 20));
+    trace_path = cfg.get_string("trace", "");
+    port_file = cfg.get_string("port_file", "");
   } catch (const std::exception& e) {
     std::cerr << "pim_serverd: " << e.what() << "\n";
     return 2;
   }
 
-  net::server_config server_cfg;
-  server_cfg.host = cfg.get_string("host", "127.0.0.1");
-  server_cfg.port = static_cast<std::uint16_t>(cfg.get_int("port", 7321));
-  server_cfg.service.shards = static_cast<int>(cfg.get_int("shards", 4));
-  server_cfg.service.routing =
-      cfg.get_string("routing", "hash") == "range"
-          ? service::shard_routing::range
-          : service::shard_routing::hash;
-  server_cfg.service.sessions_per_shard =
-      static_cast<std::uint64_t>(cfg.get_int("sessions_per_shard", 64));
-  server_cfg.service.shard.session_queue_capacity =
-      static_cast<std::size_t>(cfg.get_int("queue", 64));
-
-  const std::string trace_path = cfg.get_string("trace", "");
   if (!trace_path.empty()) obs::tracer::instance().enable();
 
-  net::pim_server server(server_cfg);
+  std::optional<net::pim_server> server;
   try {
-    server.start();
+    server.emplace(server_cfg);
+    server->start();
   } catch (const std::exception& e) {
     std::cerr << "pim_serverd: " << e.what() << "\n";
     return 1;
   }
 
-  const std::string port_file = cfg.get_string("port_file", "");
   if (!port_file.empty()) {
     std::ofstream out(port_file);
-    out << server.port() << "\n";
+    out << server->port() << "\n";
   }
   std::cout << "pim_serverd: listening on " << server_cfg.host << ":"
-            << server.port() << " (" << server_cfg.service.shards
+            << server->port() << " (" << server_cfg.service.shards
             << " shards)\n"
             << std::flush;
 
@@ -86,7 +97,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "pim_serverd: shutting down\n";
-  server.stop();
+  server->stop();
   if (!trace_path.empty()) {
     try {
       obs::tracer::instance().write_chrome_json(trace_path);

@@ -18,8 +18,10 @@
 //   pim_top port=7321 slow_threshold_ns=5000000  # also arm the
 //                                            # server's slow-request
 //                                            # log at 5 ms
-// Keys: host, port, interval (ms), count (0 = until SIGINT), once,
-//       format (plain|openmetrics), slow_threshold_ns (-1 = leave).
+// Keys: host, port (1-65535), interval (ms, 1-3600000), count (0 =
+//       until SIGINT), once, format (plain|openmetrics),
+//       slow_threshold_ns (-1 = leave). A malformed or out-of-range
+//       argument exits 2.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -28,6 +30,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.h"
@@ -185,26 +188,30 @@ std::string render_dashboard(const stats_view& view, std::uint64_t seq) {
 int main(int argc, char** argv) {
   using namespace pim;
 
-  config cfg;
+  std::string host;
+  std::uint16_t port = 0;
+  bool once = false;
+  bool openmetrics = false;
+  std::uint32_t interval = 0;
+  int count = 0;
+  std::int64_t slow_threshold_ns = -1;
   try {
-    cfg = config::from_args({argv + 1, argv + argc});
+    const config cfg = config::from_args({argv + 1, argv + argc});
+    host = cfg.get_string("host", "127.0.0.1");
+    port = static_cast<std::uint16_t>(cfg.get_int("port", 7321, 1, 65535));
+    once = cfg.get_bool("once", false);
+    const std::string format = cfg.get_string("format", "plain");
+    openmetrics = format == "openmetrics";
+    if (!openmetrics && format != "plain") {
+      throw std::invalid_argument("unknown format " + format +
+                                  " (plain|openmetrics)");
+    }
+    interval = static_cast<std::uint32_t>(
+        cfg.get_int("interval", 1000, 1, 3'600'000));
+    count = static_cast<int>(cfg.get_int("count", 0, 0, 1'000'000'000));
+    slow_threshold_ns = cfg.get_int("slow_threshold_ns", -1);
   } catch (const std::exception& e) {
     std::cerr << "pim_top: " << e.what() << "\n";
-    return 2;
-  }
-
-  const std::string host = cfg.get_string("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(cfg.get_int("port", 7321));
-  const bool once = cfg.get_bool("once", false);
-  const std::string format = cfg.get_string("format", "plain");
-  const auto interval =
-      static_cast<std::uint32_t>(cfg.get_int("interval", 1000));
-  const int count = static_cast<int>(cfg.get_int("count", 0));
-  const std::int64_t slow_threshold_ns = cfg.get_int("slow_threshold_ns", -1);
-  const bool openmetrics = format == "openmetrics";
-  if (!openmetrics && format != "plain") {
-    std::cerr << "pim_top: unknown format " << format
-              << " (plain|openmetrics)\n";
     return 2;
   }
 

@@ -43,15 +43,16 @@ int main(int argc, char** argv) {
   using namespace pim;
 
   config cfg;
+  std::uint16_t port = 0;
   try {
     cfg = config::from_args({argv + 1, argv + argc});
+    port = static_cast<std::uint16_t>(cfg.get_int("port", 7321, 1, 65535));
   } catch (const std::exception& e) {
     std::cerr << "trace_dump: " << e.what() << "\n";
     return 2;
   }
 
   const std::string host = cfg.get_string("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(cfg.get_int("port", 7321));
   const std::string cmd = cfg.get_string("cmd", "dump");
   const std::string out = cfg.get_string("out", "");
 
