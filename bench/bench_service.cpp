@@ -41,7 +41,6 @@ core::pim_system_config shard_system_config() {
   cfg.org.subarrays = 8;
   cfg.org.rows = 1024;
   cfg.org.columns = 128;  // 8 KiB rows
-  cfg.runtime.sched.host_slots = 2;
   return cfg;
 }
 

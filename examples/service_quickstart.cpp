@@ -4,6 +4,7 @@
 // a shard with all of its vectors), and runs a small bulk-op pipeline
 // per client from its own thread — the minimal end-to-end tour of the
 // service → runtime → dispatcher → DRAM stack.
+#include <atomic>
 #include <iostream>
 #include <thread>
 
@@ -19,7 +20,8 @@ int main() {
   service::pim_service svc(cfg);
   svc.start();
 
-  auto tenant = [&svc](std::uint64_t seed, const char* name) {
+  std::atomic<bool> ok{true};
+  auto tenant = [&svc, &ok](std::uint64_t seed, const char* name) {
     service::service_client client(svc);
     const bits size = 64'000;
     auto v = client.allocate(size, 3);
@@ -37,6 +39,7 @@ int main() {
     const runtime::task_report& report = f.get().report;
 
     const bool correct = client.read(v[2]) == (a ^ b);
+    if (!correct) ok = false;
     std::cout << name << ": shard " << client.shard_index() << ", "
               << runtime::to_string(report.where) << " backend, "
               << static_cast<double>(report.latency()) / 1e6 << " us, "
@@ -53,5 +56,5 @@ int main() {
             << stats.tasks_submitted << " tasks, "
             << stats.requests_completed << " requests completed\n";
   svc.stop();
-  return 0;
+  return ok ? 0 : 1;
 }

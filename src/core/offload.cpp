@@ -4,8 +4,19 @@
 
 namespace pim::core {
 
-offload_decision decide(const kernel_profile& kernel,
-                        const machine_profile& m) {
+namespace {
+
+constexpr double host_gips = 19.2;       // host giga-instructions/s
+constexpr double host_bw_gbps = 12.8;    // host DRAM bandwidth
+constexpr double pim_gips = 24.0;        // aggregate PIM-core instruction rate
+constexpr double pim_bw_gbps = 160.0;    // internal stack bandwidth
+constexpr double host_pj_per_byte = 45;  // energy per DRAM byte on the host
+constexpr double pim_pj_per_byte = 12;   // energy per byte through TSVs
+constexpr double pj_per_instruction = 3.0;
+
+}  // namespace
+
+offload_decision decide(const kernel_profile& kernel) {
   offload_decision d;
   const double instr = static_cast<double>(kernel.instructions);
   const double host_traffic = static_cast<double>(kernel.memory_traffic);
@@ -14,20 +25,20 @@ offload_decision decide(const kernel_profile& kernel,
   const double pim_traffic = host_traffic / (1.0 - std::min(
       kernel.host_cache_hit, 0.99));
 
-  const double host_compute_ns = instr / m.host_gips;
-  const double host_mem_ns = host_traffic / m.host_bw_gbps;
+  const double host_compute_ns = instr / host_gips;
+  const double host_mem_ns = host_traffic / host_bw_gbps;
   d.host_time = static_cast<picoseconds>(
       std::max(host_compute_ns, host_mem_ns) * 1e3);
 
-  const double pim_compute_ns = instr / m.pim_gips;
-  const double pim_mem_ns = pim_traffic / m.pim_bw_gbps;
+  const double pim_compute_ns = instr / pim_gips;
+  const double pim_mem_ns = pim_traffic / pim_bw_gbps;
   d.pim_time = static_cast<picoseconds>(
       std::max(pim_compute_ns, pim_mem_ns) * 1e3);
 
-  d.host_energy = instr * m.pj_per_instruction +
-                  host_traffic * m.host_pj_per_byte;
-  d.pim_energy = instr * m.pj_per_instruction +
-                 pim_traffic * m.pim_pj_per_byte;
+  d.host_energy = instr * pj_per_instruction +
+                  host_traffic * host_pj_per_byte;
+  d.pim_energy = instr * pj_per_instruction +
+                 pim_traffic * pim_pj_per_byte;
 
   d.speedup = d.pim_time == 0
                   ? 0.0

@@ -20,16 +20,6 @@ struct kernel_profile {
   double host_cache_hit = 0.0;
 };
 
-struct machine_profile {
-  double host_gips = 19.2;       // host giga-instructions/s
-  double host_bw_gbps = 12.8;    // host DRAM bandwidth
-  double pim_gips = 24.0;        // aggregate PIM-core instruction rate
-  double pim_bw_gbps = 160.0;    // internal stack bandwidth
-  double host_pj_per_byte = 45;  // energy per DRAM byte on the host
-  double pim_pj_per_byte = 12;   // energy per byte through TSVs
-  double pj_per_instruction = 3.0;
-};
-
 struct offload_decision {
   bool offload = false;
   picoseconds host_time = 0;
@@ -40,10 +30,10 @@ struct offload_decision {
   double energy_ratio = 0;     // pim_energy / host_energy
 };
 
-/// Roofline-based decision: offload when PIM wins on both time and
-/// energy (the conservative policy the consumer-workloads study uses).
-offload_decision decide(const kernel_profile& kernel,
-                        const machine_profile& machine = {});
+/// Roofline-based decision on the modeled host and stack (constants in
+/// offload.cpp): offload when PIM wins on both time and energy (the
+/// conservative policy the consumer-workloads study uses).
+offload_decision decide(const kernel_profile& kernel);
 
 }  // namespace pim::core
 

@@ -7,9 +7,9 @@ namespace pim::core {
 
 pim_system::pim_system(pim_system_config config)
     : config_(config),
-      mem_(config.org, config.timing, config.bulk_power_exempt),
+      mem_(config.org, config.timing),
       allocator_(config.org),
-      ambit_(mem_, config.rich_decoder),
+      ambit_(mem_),
       rowclone_(mem_),
       runtime_(mem_, ambit_, rowclone_, config.runtime) {}
 

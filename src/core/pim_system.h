@@ -21,8 +21,6 @@ namespace pim::core {
 struct pim_system_config {
   dram::organization org = dram::ddr3_dimm(1);
   dram::timing_params timing = dram::ddr3_1600();
-  bool rich_decoder = true;
-  bool bulk_power_exempt = true;
   runtime::runtime_config runtime;
 };
 

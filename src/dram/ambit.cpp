@@ -267,8 +267,10 @@ std::vector<ambit_step> ambit_compiler::compile(bulk_op op, int subarray,
 // Engine
 // --------------------------------------------------------------------------
 
-ambit_engine::ambit_engine(memory_system& mem, bool rich_decoder)
-    : mem_(mem), layout_(mem.org()), compiler_(mem.org(), rich_decoder) {}
+ambit_engine::ambit_engine(memory_system& mem)
+    : mem_(mem),
+      layout_(mem.org()),
+      compiler_(mem.org(), /*rich_decoder=*/true) {}
 
 void ambit_engine::write_vector(const bulk_vector& v, const bitvector& data) {
   if (data.size() != v.size) {

@@ -111,7 +111,8 @@ class ambit_compiler {
 /// Executes bulk ops on a memory_system.
 class ambit_engine {
  public:
-  explicit ambit_engine(memory_system& mem, bool rich_decoder = true);
+  /// Compiles with the full B-group decoder.
+  explicit ambit_engine(memory_system& mem);
 
   /// Functional host access to a vector (no timing).
   void write_vector(const bulk_vector& v, const bitvector& data);

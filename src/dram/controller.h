@@ -55,15 +55,6 @@ class controller {
   /// ...); a count never incremented is absent.
   counter_set counters() const;
 
-  std::size_t pending_bulk() const { return bulk_queue_.size(); }
-
-  // --- per-bank busy introspection (for runtime schedulers) -------------
-
-  /// True while a bulk sequence holds (rank, bank) against other work.
-  bool bank_busy(int rank, int bank) const {
-    return bank_locked(rank * org_.banks + bank);
-  }
-
   /// Number of banks currently locked by in-flight bulk sequences.
   std::size_t busy_banks() const { return locked_count_; }
 

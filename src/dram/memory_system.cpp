@@ -10,10 +10,10 @@ namespace pim::dram {
 
 memory_system::memory_system(const organization& org,
                              const timing_params& timing,
-                             bool bulk_power_exempt, mapping_policy mapping)
+                             bool bulk_power_exempt)
     : org_(org),
       timing_(timing),
-      mapper_(org, mapping),
+      mapper_(org, mapping_policy::row_bank_column),
       zero_row_(org.row_bits()) {
   organization channel_org = org;
   channel_org.channels = 1;
@@ -85,12 +85,6 @@ std::size_t memory_system::busy_banks() const {
   std::size_t busy = 0;
   for (const auto& ch : channels_) busy += ch->busy_banks();
   return busy;
-}
-
-std::size_t memory_system::pending_bulk() const {
-  std::size_t pending = 0;
-  for (const auto& ch : channels_) pending += ch->pending_bulk();
-  return pending;
 }
 
 std::uint64_t memory_system::row_key(const address& a) const {

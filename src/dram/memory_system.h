@@ -19,9 +19,9 @@ namespace pim::dram {
 
 class memory_system {
  public:
+  /// Host addresses decode with mapping_policy::row_bank_column.
   memory_system(const organization& org, const timing_params& timing,
-                bool bulk_power_exempt = true,
-                mapping_policy mapping = mapping_policy::row_bank_column);
+                bool bulk_power_exempt = true);
 
   /// Decodes the request's address and routes it to its channel; false
   /// when that channel's queue is full.
@@ -66,9 +66,6 @@ class memory_system {
   /// channels — the instantaneous bank-level parallelism a scheduler
   /// is extracting.
   std::size_t busy_banks() const;
-
-  /// Bulk sequences accepted but not yet completed, across channels.
-  std::size_t pending_bulk() const;
 
   // --- functional row store -------------------------------------------
   // Rows are materialized lazily, zero-filled (DRAM after initialization

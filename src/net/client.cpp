@@ -345,16 +345,6 @@ std::uint64_t remote_client::digest() {
 
 void remote_client::barrier() { send_request(wait_req{}, nullptr).get(); }
 
-std::string remote_client::stats_json() {
-  auto reply = std::make_shared<net_message>();
-  send_request(stats_req{}, reply).get();
-  const auto* stats = std::get_if<stats_resp>(reply.get());
-  if (stats == nullptr) {
-    throw std::runtime_error("remote_client: unexpected stats response");
-  }
-  return stats->json;
-}
-
 void remote_client::close_session() {
   send_request(close_session_req{session_}, nullptr).get();
 }

@@ -71,9 +71,6 @@ class remote_client final : public service::client_api {
   /// submitted has completed on the server (the wire `wait` op).
   void barrier();
 
-  /// Service-wide telemetry as the server's JSON document.
-  std::string stats_json();
-
   /// Server-process metrics snapshot (obs registry + service stats) as
   /// one JSON document (the wire `get_metrics` op).
   std::string metrics_json();

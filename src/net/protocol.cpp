@@ -226,7 +226,6 @@ void encode_body(std::vector<std::uint8_t>& out, const net_message& msg) {
           if (m.b) put_shared(out, *m.b);
           put_shared(out, m.d);
         } else if constexpr (std::is_same_v<T, wait_req> ||
-                             std::is_same_v<T, stats_req> ||
                              std::is_same_v<T, get_metrics_req> ||
                              std::is_same_v<T, closed_resp> ||
                              std::is_same_v<T, waited_resp>) {
@@ -277,8 +276,6 @@ void encode_body(std::vector<std::uint8_t>& out, const net_message& msg) {
           put_bitvector(out, m.data);
         } else if constexpr (std::is_same_v<T, done_resp>) {
           put_report(out, m.report);
-        } else if constexpr (std::is_same_v<T, stats_resp>) {
-          put_string(out, m.json);
         } else if constexpr (std::is_same_v<T, error_resp>) {
           put_string(out, m.message);
         }
@@ -338,8 +335,6 @@ net_message decode_body(opcode op, reader& in) {
     }
     case opcode::wait:
       return wait_req{};
-    case opcode::stats:
-      return stats_req{};
     case opcode::get_metrics:
       return get_metrics_req{};
     case opcode::trace_ctl: {
@@ -432,11 +427,6 @@ net_message decode_body(opcode op, reader& in) {
     }
     case opcode::waited:
       return waited_resp{};
-    case opcode::stats_report: {
-      stats_resp m;
-      m.json = in.str();
-      return m;
-    }
     case opcode::error: {
       error_resp m;
       m.message = in.str();
@@ -452,15 +442,14 @@ opcode opcode_of(const net_message& msg) {
   // The variant's alternative order is the opcode order within each of
   // the two ranges (requests from 1, responses from 64).
   static constexpr opcode table[] = {
-      opcode::open_session, opcode::close_session, opcode::allocate,
-      opcode::write,        opcode::read,          opcode::submit,
-      opcode::submit_shared, opcode::wait,         opcode::stats,
-      opcode::hello,        opcode::get_metrics,   opcode::trace_ctl,
-      opcode::watch_stats,  opcode::opened,        opcode::closed,
-      opcode::vectors,      opcode::data,          opcode::done,
-      opcode::waited,       opcode::stats_report,  opcode::error,
-      opcode::hello_ack,    opcode::metrics_report, opcode::trace_ack,
-      opcode::stats_push};
+      opcode::open_session,  opcode::close_session, opcode::allocate,
+      opcode::write,         opcode::read,          opcode::submit,
+      opcode::submit_shared, opcode::wait,          opcode::hello,
+      opcode::get_metrics,   opcode::trace_ctl,     opcode::watch_stats,
+      opcode::opened,        opcode::closed,        opcode::vectors,
+      opcode::data,          opcode::done,          opcode::waited,
+      opcode::error,         opcode::hello_ack,     opcode::metrics_report,
+      opcode::trace_ack,     opcode::stats_push};
   static_assert(std::size(table) == std::variant_size_v<net_message>);
   return table[msg.index()];
 }

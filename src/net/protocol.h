@@ -19,7 +19,9 @@
 // request.
 //
 // The message set covers the full client_api surface (open/close
-// session, allocate, write, read, submit, submit_shared, wait, stats).
+// session, allocate, write, read, submit, submit_shared, wait) plus
+// the telemetry and control requests (hello, get_metrics, trace_ctl,
+// watch_stats).
 // encode_frame/frame_splitter round-trip on plain byte buffers with no
 // socket involved — which is how the framing tests exercise every
 // message type and every malformed-input path (bad magic, oversized
@@ -68,7 +70,6 @@ enum class opcode : std::uint8_t {
   submit = 6,
   submit_shared = 7,
   wait = 8,
-  stats = 9,
   hello = 10,
   get_metrics = 11,
   trace_ctl = 12,
@@ -80,7 +81,6 @@ enum class opcode : std::uint8_t {
   data = 67,
   done = 68,
   waited = 69,
-  stats_report = 70,
   error = 71,
   hello_ack = 72,
   metrics_report = 73,
@@ -139,8 +139,6 @@ struct submit_shared_req {
 /// Barrier: the response is sent once every request this connection
 /// submitted before it has completed server-side.
 struct wait_req {};
-
-struct stats_req {};
 
 /// Version check, sent by the client as its first frame: "the highest
 /// version I speak". The server answers hello_resp with wire_version.
@@ -203,12 +201,6 @@ struct done_resp {
 
 struct waited_resp {};
 
-/// Service-wide telemetry: a JSON document whose "service" object is
-/// service_stats::to_json of pim_service::stats().
-struct stats_resp {
-  std::string json;
-};
-
 struct error_resp {
   std::string message;
 };
@@ -219,7 +211,8 @@ struct hello_resp {
 };
 
 /// Answer to get_metrics: one JSON document with "metrics" (registry
-/// snapshot) and "service" (aggregate service stats) members.
+/// snapshot), "service" (service_stats::to_json of
+/// pim_service::stats()) and "slow_requests" members.
 struct metrics_resp {
   std::string json;
 };
@@ -257,11 +250,11 @@ struct stats_push_resp {
 
 using net_message =
     std::variant<open_session_req, close_session_req, allocate_req, write_req,
-                 read_req, submit_req, submit_shared_req, wait_req, stats_req,
-                 hello_req, get_metrics_req, trace_ctl_req, watch_stats_req,
-                 opened_resp, closed_resp, vectors_resp, data_resp, done_resp,
-                 waited_resp, stats_resp, error_resp, hello_resp, metrics_resp,
-                 trace_ack_resp, stats_push_resp>;
+                 read_req, submit_req, submit_shared_req, wait_req, hello_req,
+                 get_metrics_req, trace_ctl_req, watch_stats_req, opened_resp,
+                 closed_resp, vectors_resp, data_resp, done_resp, waited_resp,
+                 error_resp, hello_resp, metrics_resp, trace_ack_resp,
+                 stats_push_resp>;
 
 /// Opcode of a message (the tag byte its frame carries).
 opcode opcode_of(const net_message& msg);

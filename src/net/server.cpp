@@ -591,14 +591,6 @@ void pim_server::accept_loop(const int listen_fd) {
                         std::to_string(wire_version));
                   }
                   enqueue_frame(*dx, id, hello_resp{});
-                } else if constexpr (std::is_same_v<T, stats_req>) {
-                  json_writer json;
-                  json.begin_object();
-                  json.key("service").begin_object();
-                  svc_.stats().to_json(json);
-                  json.end_object();
-                  json.end_object();
-                  enqueue_frame(*dx, id, stats_resp{json.str()});
                 } else if constexpr (std::is_same_v<T, get_metrics_req>) {
                   json_writer json;
                   json.begin_object();

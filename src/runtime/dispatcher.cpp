@@ -2,8 +2,7 @@
 
 namespace pim::runtime {
 
-dispatcher::dispatcher(const dram::organization& org, dispatch_policy policy)
-    : org_(org), policy_(policy) {}
+dispatcher::dispatcher(const dram::organization& org) : org_(org) {}
 
 backend_kind dispatcher::pim_backend(task_kind kind) {
   switch (kind) {
@@ -54,22 +53,12 @@ core::kernel_profile dispatcher::profile_for(const pim_task& task) const {
 dispatcher::routing_result dispatcher::route(const pim_task& task) const {
   routing_result r;
   r.profile = profile_for(task);
-  r.decision = core::decide(r.profile, policy_.machine);
+  r.decision = core::decide(r.profile);
   if (task.forced_backend) {
     r.where = *task.forced_backend;
-    return r;
-  }
-  switch (policy_.routing) {
-    case dispatch_policy::mode::force_pim:
-      r.where = pim_backend(task.kind());
-      break;
-    case dispatch_policy::mode::force_host:
-      r.where = backend_kind::host;
-      break;
-    case dispatch_policy::mode::adaptive:
-      r.where = r.decision.offload ? pim_backend(task.kind())
-                                   : backend_kind::host;
-      break;
+  } else {
+    r.where =
+        r.decision.offload ? pim_backend(task.kind()) : backend_kind::host;
   }
   return r;
 }

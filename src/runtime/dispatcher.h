@@ -4,8 +4,9 @@
 //
 // The dispatcher derives a kernel_profile for each task (bulk Boolean
 // ops and row copies are streaming, memory-bound kernels; host_kernel
-// tasks carry their own profile), feeds it to core::offload::decide —
-// the paper's roofline offload model — and routes accordingly. It also
+// tasks carry their own profile), feeds it to core::decide — the
+// paper's roofline offload model — and routes accordingly. One rule: a
+// task's forced_backend wins, otherwise the model decides. It also
 // accumulates per-backend utilization so the runtime can report where
 // the work actually went.
 #ifndef PIM_RUNTIME_DISPATCHER_H
@@ -18,20 +19,9 @@
 
 namespace pim::runtime {
 
-struct dispatch_policy {
-  enum class mode {
-    adaptive,    // follow the offload model
-    force_pim,   // always use the PIM backend for the task kind
-    force_host,  // always fall back to the host
-  };
-  mode routing = mode::adaptive;
-  core::machine_profile machine;
-};
-
 class dispatcher {
  public:
-  explicit dispatcher(const dram::organization& org,
-                      dispatch_policy policy = {});
+  explicit dispatcher(const dram::organization& org);
 
   struct routing_result {
     backend_kind where = backend_kind::host;
@@ -39,8 +29,9 @@ class dispatcher {
     core::offload_decision decision;
   };
 
-  /// Routes one task. Honors task.forced_backend, then the policy mode,
-  /// then the offload decision.
+  /// Routes one task: to task.forced_backend when set, otherwise to
+  /// the task kind's PIM backend if the offload model says so, else to
+  /// the host.
   routing_result route(const pim_task& task) const;
 
   /// The PIM-side backend a task kind lowers to.
@@ -63,11 +54,8 @@ class dispatcher {
     return utilization_;
   }
 
-  const dispatch_policy& policy() const { return policy_; }
-
  private:
   dram::organization org_;
-  dispatch_policy policy_;
   std::map<backend_kind, backend_stats> utilization_;
 };
 

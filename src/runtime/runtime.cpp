@@ -5,7 +5,7 @@ namespace pim::runtime {
 pim_runtime::pim_runtime(dram::memory_system& mem, dram::ambit_engine& ambit,
                          dram::rowclone_engine& rowclone,
                          runtime_config config)
-    : dispatcher_(mem.org(), config.policy),
+    : dispatcher_(mem.org()),
       sched_(mem, ambit, rowclone, config.sched) {
   sched_.set_completion_hook(
       [this](const task_report& report) { dispatcher_.account(report); });
@@ -21,14 +21,6 @@ task_future pim_runtime::submit_bulk(dram::bulk_op op,
                                      const dram::bulk_vector* b,
                                      const dram::bulk_vector& d, int stream) {
   return submit(make_bulk_task(op, a, b, d, stream));
-}
-
-task_future pim_runtime::submit_kernel(const core::kernel_profile& profile,
-                                       int stream) {
-  pim_task task;
-  task.payload = host_kernel_args{profile};
-  task.stream = stream;
-  return submit(std::move(task));
 }
 
 runtime_stats pim_runtime::stats() const {

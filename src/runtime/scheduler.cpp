@@ -274,62 +274,6 @@ void scheduler::release(task_id id) {
   }
 }
 
-void scheduler::set_stream_weight(int stream, double weight) {
-  if (!valid_weight(weight)) {
-    throw std::invalid_argument(
-        "scheduler: stream weight must be finite and positive");
-  }
-  stream_weight_[stream] = weight;
-  // A stream joining mid-run starts at the current service position so
-  // it competes fairly from now on instead of replaying its missed
-  // share.
-  stream_pass_.try_emplace(stream, virtual_pass_);
-}
-
-task_id scheduler::pop_ready(executor_pool& pool) {
-  // FIFO fast path: nobody asked for fair-share.
-  if (stream_weight_.empty()) {
-    const task_id id = pool.queue.front();
-    pool.queue.pop_front();
-    return id;
-  }
-  // Stride scheduling: serve the queued stream with the lowest pass
-  // (FIFO within a stream; lowest stream id breaks ties), then advance
-  // its pass by 1/weight. Queues are short, so a linear scan beats
-  // maintaining a priority structure.
-  std::size_t best_index = 0;
-  int best_stream = 0;
-  double best_pass = 0.0;
-  bool found = false;
-  std::set<int> seen;
-  for (std::size_t i = 0; i < pool.queue.size(); ++i) {
-    const int stream = active_.at(pool.queue[i]).task.stream;
-    if (!seen.insert(stream).second) continue;  // not first-of-stream
-    const auto pass_it = stream_pass_.find(stream);
-    // A stream never seen before enters at the service position, not at
-    // zero — otherwise a late joiner would monopolize the pool until
-    // its pass caught up with long-running streams.
-    const double pass =
-        pass_it == stream_pass_.end() ? virtual_pass_ : pass_it->second;
-    if (!found || pass < best_pass ||
-        (pass == best_pass && stream < best_stream)) {
-      best_index = i;
-      best_stream = stream;
-      best_pass = pass;
-      found = true;
-    }
-  }
-  const task_id id = pool.queue[best_index];
-  pool.queue.erase(pool.queue.begin() +
-                   static_cast<std::ptrdiff_t>(best_index));
-  const auto weight_it = stream_weight_.find(best_stream);
-  const double weight =
-      weight_it == stream_weight_.end() ? 1.0 : weight_it->second;
-  virtual_pass_ = best_pass;
-  stream_pass_[best_stream] = best_pass + 1.0 / weight;
-  return id;
-}
-
 void scheduler::start_on_executor(executor_pool& pool, task_id id) {
   if (static_cast<int>(pool.running.size()) < pool.slots) {
     node& n = active_.at(id);
@@ -339,16 +283,6 @@ void scheduler::start_on_executor(executor_pool& pool, task_id id) {
     n.future->report.start_ps = mem_.now_ps();
     pool.running.emplace_back(id, mem_.now_ps() + service);
   } else {
-    if (!stream_weight_.empty()) {
-      // Stride re-entry rule: a stream arriving after an idle spell is
-      // floored to the current service position — it must not replay
-      // the share it did not use. (No-op for continuously busy streams,
-      // whose pass is already >= the last popped minimum.)
-      double& pass =
-          stream_pass_.try_emplace(active_.at(id).task.stream, virtual_pass_)
-              .first->second;
-      pass = std::max(pass, virtual_pass_);
-    }
     pool.queue.push_back(id);
   }
 }
@@ -554,7 +488,9 @@ void scheduler::tick() {
     }
     while (!pool->queue.empty() &&
            static_cast<int>(pool->running.size()) < pool->slots) {
-      start_on_executor(*pool, pop_ready(*pool));
+      const task_id id = pool->queue.front();
+      pool->queue.pop_front();
+      start_on_executor(*pool, id);
     }
   }
 

@@ -12,11 +12,13 @@
 // earlier in-flight task that writes a row it touches, or reads a row
 // it writes (RAW / WAW / WAR). Released PIM tasks go to the Ambit or
 // RowClone engine; host and logic-layer tasks occupy a slot of the
-// corresponding executor pool for their modeled service time.
+// corresponding executor pool for their modeled service time, and wait
+// for one in FIFO order. The scheduler keeps no fair share: the service
+// shard's stride admission decides which session's task arrives here
+// next.
 #ifndef PIM_RUNTIME_SCHEDULER_H
 #define PIM_RUNTIME_SCHEDULER_H
 
-#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,13 +37,6 @@ struct scheduler_config {
   int host_slots = 1;       // concurrent host fallback executions
   int ndp_slots = 4;        // concurrent logic-layer kernel executions
 };
-
-/// The test every fair-share weight passes — stream weights here,
-/// session weights in the service: finite and positive. An infinite or
-/// NaN weight would reach stride scheduling as a 1/weight of 0 or NaN.
-inline bool valid_weight(double weight) {
-  return std::isfinite(weight) && weight > 0.0;
-}
 
 /// Counters the scheduler accumulates while ticking.
 struct scheduler_stats {
@@ -120,19 +115,6 @@ class scheduler {
     completion_hook_ = std::move(hook);
   }
 
-  /// Gives `stream` a fair-share weight (see valid_weight; throws
-  /// std::invalid_argument otherwise). While any weight is set, ready
-  /// tasks waiting for an executor slot (host / ndp_logic
-  /// backends) are popped by stride scheduling — each stream's share of
-  /// pops is proportional to its weight, and every stream makes
-  /// progress (no starvation) — instead of globally FIFO. Streams
-  /// without an explicit weight default to 1.0. With no weights set the
-  /// original FIFO order is preserved exactly. Ambit/RowClone tasks
-  /// issue straight to the in-DRAM engines when their hazards clear and
-  /// are not gated here; fairness for bulk ops is the service shard's
-  /// admission-popping job.
-  void set_stream_weight(int stream, double weight);
-
   const scheduler_stats& stats() const { return stats_; }
 
   /// Tasks submitted and not yet completed.
@@ -158,7 +140,7 @@ class scheduler {
  private:
   struct executor_pool {
     int slots = 1;
-    std::deque<task_id> queue;               // released, waiting for a slot
+    std::deque<task_id> queue;  // released, waiting for a slot (FIFO)
     std::vector<std::pair<task_id, picoseconds>> running;  // id, deadline
   };
 
@@ -177,7 +159,6 @@ class scheduler {
   };
 
   void validate(const pim_task& task, backend_kind where) const;
-  task_id pop_ready(executor_pool& pool);
   void release(task_id id);
   void start_on_executor(executor_pool& pool, task_id id);
   void complete(task_id id);
@@ -210,15 +191,6 @@ class scheduler {
   // lookups filter through `active_`.
   std::unordered_map<std::uint64_t, task_id> last_writer_;
   std::unordered_map<std::uint64_t, std::vector<task_id>> readers_;
-
-  // Fair-share state: explicit weights plus each stream's stride pass.
-  // Empty weight map = pure FIFO popping (the historical behavior).
-  // virtual_pass_ is the scheduler's service position (the pass of the
-  // last pop); streams joining or re-entering after an idle spell are
-  // floored to it so they cannot replay the share they did not use.
-  std::unordered_map<int, double> stream_weight_;
-  std::unordered_map<int, double> stream_pass_;
-  double virtual_pass_ = 0.0;
 
   /// Trace lane for one task: the (channel, bank) its output lands
   /// in, or the executor lane for host/ndp work. Lanes register

@@ -148,7 +148,7 @@ void pim_service::resume() {
 session_info pim_service::open_session(double weight) {
   // Checked before an id is minted, so a refused weight leaves no
   // routable record behind.
-  if (!runtime::valid_weight(weight)) {
+  if (!valid_weight(weight)) {
     throw std::invalid_argument(
         "pim_service: session weight must be finite and positive");
   }
@@ -719,7 +719,6 @@ service_stats pim_service::stats() const {
     total.requests_rejected += snap.requests_rejected;
     total.enqueue_waits += snap.enqueue_waits;
     total.tasks_submitted += snap.tasks_submitted;
-    total.sessions += snap.sessions;
     total.output_bytes += snap.output_bytes;
     total.makespan_ps = std::max(total.makespan_ps, snap.now_ps);
     for (const sched_meter& m : sched_meters) {
@@ -735,6 +734,8 @@ service_stats pim_service::stats() const {
       total.latency.merge(h);
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  total.sessions = static_cast<int>(sessions_.size());
   return total;
 }
 

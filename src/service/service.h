@@ -55,6 +55,8 @@ struct service_stats {
   std::uint64_t requests_rejected = 0;
   std::uint64_t enqueue_waits = 0;
   std::uint64_t tasks_submitted = 0;
+  /// Sessions in the service's directory, each counted once wherever
+  /// it lives (per-shard `sessions` also counts plan issuers).
   int sessions = 0;
   bytes output_bytes = 0;
   /// Slowest shard's simulated clock — the service-level makespan when
@@ -206,7 +208,7 @@ class pim_service {
   /// registers its fair-share weight, and creates its entry in the
   /// vector-ownership directory. Thread-safe. Throws
   /// std::invalid_argument, minting no id, unless the weight is finite
-  /// and positive (runtime::valid_weight).
+  /// and positive (valid_weight).
   session_info open_session(double weight = 1.0);
 
   /// Allocates `count` co-located bulk vectors for `session` on its

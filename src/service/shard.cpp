@@ -137,7 +137,7 @@ void shard::resume() {
 }
 
 void shard::register_session(session_id id, double weight) {
-  if (!runtime::valid_weight(weight)) {
+  if (!valid_weight(weight)) {
     throw std::invalid_argument(
         "shard: session weight must be finite and positive");
   }
@@ -146,7 +146,6 @@ void shard::register_session(session_id id, double weight) {
   auto [it, inserted] = sessions_.try_emplace(id);
   session_state& s = it->second;
   s.weight = weight;
-  s.weight_applied = false;
   s.moved = false;  // re-registering revives a migrated-away session
   if (inserted) {
     // A session joining mid-run starts at the current service position
@@ -155,8 +154,6 @@ void shard::register_session(session_id id, double weight) {
   } else {
     s.pass = std::max(s.pass, virtual_pass_);
   }
-  weights_dirty_ = true;
-  cv_worker_.notify_one();
 }
 
 detached_session shard::detach_session(session_id id) {
@@ -375,7 +372,6 @@ void shard::run() {
       });
       continue;
     }
-    if (weights_dirty_) apply_weights_locked();
     // The scheduler's own count of unfinished tasks: read on this
     // thread, which alone submits and ticks.
     const std::size_t outstanding = sys_.runtime().sched().outstanding();
@@ -420,7 +416,7 @@ void shard::run() {
     } else {
       publish_stats_locked();
       cv_worker_.wait(lock, [&] {
-        return stop_ || paused_ || total_queued_ > 0 || weights_dirty_ ||
+        return stop_ || paused_ || total_queued_ > 0 ||
                stats_pub_done_ < stats_pub_requested_;
       });
     }
@@ -1023,20 +1019,6 @@ void shard::advance(int ticks) {
   // Relaxed is fine: the stamp may lag (the scheduler clamps
   // admit <= submit), it must only never lead the worker's own reads.
   sim_now_ps_.store(sys_.memory().now_ps(), std::memory_order_relaxed);
-}
-
-void shard::apply_weights_locked() {
-  // Mirror session weights into the runtime scheduler (worker thread
-  // only — the scheduler is not thread-safe). This governs the
-  // host/NDP executor queues; bulk in-DRAM ops are kept fair by this
-  // shard's own weighted admission popping.
-  for (auto& [id, s] : sessions_) {
-    if (!s.weight_applied) {
-      sys_.runtime().set_stream_weight(static_cast<int>(id), s.weight);
-      s.weight_applied = true;
-    }
-  }
-  weights_dirty_ = false;
 }
 
 void shard::publish_stats_locked() {

@@ -7,10 +7,13 @@
 // control: a full queue blocks or rejects instead of growing without
 // bound) and the worker pops across sessions by stride scheduling —
 // each session's share of pops is proportional to its weight, so one
-// heavy tenant cannot starve the others. A separate unbounded control
-// queue, popped ahead of the session queues, carries service-internal
-// traffic (migration capture/install, cross-shard write-backs). Every
-// entry point ends in one admission tail (admit_locked).
+// heavy tenant cannot starve the others. This stride is the stack's
+// one fair-share point: it orders every request, whichever backend its
+// task lands on, and the runtime below serves what it is handed in
+// order. A separate unbounded control queue, popped ahead of the
+// session queues, carries service-internal traffic (migration
+// capture/install, cross-shard write-backs). Every entry point ends in
+// one admission tail (admit_locked).
 //
 // Vector handles are virtual (see request.h): the worker translates
 // them to physical rows through a per-session remap at execute time,
@@ -42,6 +45,7 @@
 #define PIM_SERVICE_SHARD_H
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -60,10 +64,20 @@ struct shard_config {
   std::size_t session_queue_capacity = 64;  // per-session admission bound
 };
 
+/// The test every session weight passes: finite and positive. An
+/// infinite or NaN weight would reach the stride pop as a 1/weight of 0
+/// or NaN.
+inline bool valid_weight(double weight) {
+  return std::isfinite(weight) && weight > 0.0;
+}
+
 /// Telemetry one shard publishes; aggregated service-wide by
 /// pim_service::stats().
 struct shard_stats {
   int shard = 0;
+  /// Admission queues open here: home sessions plus cross-shard plan
+  /// issuers registered to run a plan here. pim_service::stats() takes
+  /// its session count from the session directory instead.
   int sessions = 0;
   std::uint64_t requests_enqueued = 0;
   std::uint64_t requests_completed = 0;
@@ -115,11 +129,9 @@ class shard {
   void resume();
 
   /// Declares a session before its first request. Weight drives the
-  /// shard's stride admission popping — the fairness lever for bulk
-  /// in-DRAM ops — and is also pushed into the runtime scheduler's
-  /// per-stream hook (which governs the host/NDP executor queues).
-  /// Re-registering a previously migrated-away session revives it
-  /// (the migrate-back path).
+  /// shard's stride admission popping (see valid_weight; throws
+  /// std::invalid_argument otherwise). Re-registering a previously
+  /// migrated-away session revives it (the migrate-back path).
   void register_session(session_id id, double weight);
 
   /// Marks the session as moved (subsequent enqueues throw
@@ -171,7 +183,6 @@ class shard {
   struct session_state {
     double weight = 1.0;
     double pass = 0.0;  // stride scheduling position
-    bool weight_applied = false;  // pushed into the runtime scheduler yet?
     bool moved = false;  // migrated away; enqueues throw session_moved_error
     std::deque<request> queue;
     /// Head request parked on a row reservation: the session pops
@@ -212,7 +223,6 @@ class shard {
   exec_result execute(request& req);
   void drain();             // worker: advance until the runtime is idle
   void advance(int ticks);  // worker: advance a slice
-  void apply_weights_locked();
   void publish_stats_locked();
   void fail_all_queued_locked();
 
@@ -288,7 +298,6 @@ class shard {
   bool running_ = false;
   bool stop_ = false;
   bool paused_ = false;
-  bool weights_dirty_ = false;
   std::map<session_id, session_state> sessions_;
   std::deque<request> control_queue_;
   std::size_t total_queued_ = 0;

@@ -29,7 +29,6 @@ wire_schema_info canonical_wire_schema() {
       {raw(opcode::submit), "submit", true, raw(opcode::done)},
       {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done)},
       {raw(opcode::wait), "wait", true, raw(opcode::waited)},
-      {raw(opcode::stats), "stats", true, raw(opcode::stats_report)},
       {raw(opcode::hello), "hello", true, raw(opcode::hello_ack)},
       {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report)},
       {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack)},
@@ -41,7 +40,6 @@ wire_schema_info canonical_wire_schema() {
       {raw(opcode::data), "data", false, 0},
       {raw(opcode::done), "done", false, 0},
       {raw(opcode::waited), "waited", false, 0},
-      {raw(opcode::stats_report), "stats_report", false, 0},
       {raw(opcode::error), "error", false, 0},
       {raw(opcode::hello_ack), "hello_ack", false, 0},
       {raw(opcode::metrics_report), "metrics_report", false, 0},
@@ -52,7 +50,7 @@ wire_schema_info canonical_wire_schema() {
   // net_message alternative. Adding a message type without extending
   // this table fails the build here; pim_lint and the mutation tests
   // take it from there.
-  static_assert(25 == std::variant_size_v<net::net_message>,
+  static_assert(23 == std::variant_size_v<net::net_message>,
                 "net_message changed: extend canonical_wire_schema()");
   return s;
 }

@@ -137,7 +137,6 @@ TEST(protocol, round_trips_every_request_type) {
     EXPECT_EQ(m.d.v.rows, req.d.v.rows);
   }
   roundtrip(9, wait_req{});
-  roundtrip(10, stats_req{});
   {
     const auto f = roundtrip(11, hello_req{7});
     EXPECT_EQ(std::get<hello_req>(f.msg).max_version, 7);
@@ -185,10 +184,6 @@ TEST(protocol, round_trips_every_response_type) {
     EXPECT_EQ(m.report.output_bytes, 4096u);
   }
   roundtrip(25, waited_resp{});
-  {
-    const auto f = roundtrip(26, stats_resp{"{\"x\":1}"});
-    EXPECT_EQ(std::get<stats_resp>(f.msg).json, "{\"x\":1}");
-  }
   {
     const auto f = roundtrip(27, error_resp{"boom"});
     EXPECT_EQ(std::get<error_resp>(f.msg).message, "boom");
@@ -378,12 +373,15 @@ TEST(protocol, rejects_bitvector_larger_than_its_frame_before_allocating) {
 }
 
 TEST(protocol, rejects_unknown_opcode) {
-  std::vector<std::uint8_t> wire = encode_frame(3, wait_req{});
-  wire[8 + 1 + 8] = 0xee;  // opcode byte after version + id
-  frame_splitter splitter;
-  splitter.feed(wire.data(), wire.size());
-  EXPECT_THROW(splitter.next(), protocol_error);
-  EXPECT_EQ(splitter.last_id(), 3u);
+  // 9 and 70 were the retired stats / stats_report pair.
+  for (const std::uint8_t op : {0xee, 9, 70}) {
+    std::vector<std::uint8_t> wire = encode_frame(3, wait_req{});
+    wire[8 + 1 + 8] = op;  // opcode byte after version + id
+    frame_splitter splitter;
+    splitter.feed(wire.data(), wire.size());
+    EXPECT_THROW(splitter.next(), protocol_error) << int{op};
+    EXPECT_EQ(splitter.last_id(), 3u);
+  }
 }
 
 /// A done frame carrying `r`. The report starts at `report_at`, after
@@ -663,7 +661,7 @@ TEST(remote_client, matches_in_process_execution_bit_for_bit) {
     remote_client client("127.0.0.1", server.port());
     remote_digest = service::run_synthetic_client(client, chain).digest;
     client.barrier();
-    const std::string json = client.stats_json();
+    const std::string json = client.metrics_json();
     EXPECT_NE(json.find("\"latency\""), std::string::npos);
     client.close_session();
   }

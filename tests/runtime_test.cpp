@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "core/pim_system.h"
@@ -347,11 +346,11 @@ TEST(SchedulerTest, InvalidTaskRejectedWithoutCorruptingState) {
       sys.submit_bulk(dram::bulk_op::not_op, vecs[0], nullptr, vecs[2]);
   sys.wait(ok);
   EXPECT_EQ(sys.read(vecs[2]), ~a);
-  EXPECT_TRUE(sys.runtime().idle());
+  EXPECT_TRUE(sys.runtime().sched().idle());
 }
 
 // ---------------------------------------------------------------------------
-// Stream weights (fair share)
+// Executor pools
 // ---------------------------------------------------------------------------
 
 // Submits `count` host kernels on `stream`; they all queue on the
@@ -375,93 +374,17 @@ std::vector<task_future> submit_host_kernels(core::pim_system& sys,
   return futures;
 }
 
-TEST(StreamWeightTest, DefaultRemainsFifo) {
+TEST(ExecutorPoolTest, QueuedTasksStartInFifoOrderAcrossStreams) {
   core::pim_system sys(small_config());
-  // Stream 0 queues its whole batch first; without weights the pops
-  // are strictly FIFO, so all of stream 0 completes before any of
-  // stream 1.
+  // Stream 0 queues its whole batch first; the pool pops strictly
+  // FIFO whatever the stream, so all of stream 0 completes before any
+  // of stream 1. (Fair share between tenants is the service shard's
+  // admission stride, upstream of the runtime.)
   auto first = submit_host_kernels(sys, 0, 6);
   auto second = submit_host_kernels(sys, 1, 6);
   sys.wait_all();
   EXPECT_LE(first.back().report().complete_ps,
             second.front().report().complete_ps);
-}
-
-TEST(StreamWeightTest, WeightedStreamsInterleaveInsteadOfStarving) {
-  core::pim_system sys(small_config());
-  sys.runtime().set_stream_weight(0, 1.0);
-  sys.runtime().set_stream_weight(1, 1.0);
-  // Same submission order as the FIFO test: stream 0's backlog first.
-  auto first = submit_host_kernels(sys, 0, 6);
-  auto second = submit_host_kernels(sys, 1, 6);
-  sys.wait_all();
-  // Equal weights alternate pops, so stream 1's first task completes
-  // well before stream 0's backlog drains — no starvation behind the
-  // earlier-arriving queue.
-  EXPECT_LT(second.front().report().complete_ps,
-            first.back().report().complete_ps);
-  // And proportionality: stream 1 finishes its 6 within the window in
-  // which stream 0 also finishes about 6 (not all 6 after stream 0's
-  // entire backlog, as FIFO would).
-  const picoseconds second_last = second.back().report().complete_ps;
-  int first_done_before = 0;
-  for (const task_future& f : first) {
-    if (f.report().complete_ps <= second_last) ++first_done_before;
-  }
-  EXPECT_LE(first_done_before, 6);
-}
-
-TEST(StreamWeightTest, HeavierWeightGetsProportionallyMoreService) {
-  core::pim_system sys(small_config());
-  sys.runtime().set_stream_weight(0, 1.0);
-  sys.runtime().set_stream_weight(1, 4.0);
-  auto light = submit_host_kernels(sys, 0, 8);
-  auto heavy = submit_host_kernels(sys, 1, 8);
-  sys.wait_all();
-  // Weight 4 vs 1: the heavy stream drains roughly 4x as fast, so its
-  // last completion precedes the light stream's.
-  EXPECT_LT(heavy.back().report().complete_ps,
-            light.back().report().complete_ps);
-  // Starvation avoidance: the light stream still progresses while the
-  // heavy backlog exists (its first task is not deferred to the end).
-  EXPECT_LT(light.front().report().complete_ps,
-            heavy.back().report().complete_ps);
-}
-
-TEST(StreamWeightTest, LateJoinerEntersAtServicePositionNotZero) {
-  core::pim_system sys(small_config());
-  sys.runtime().set_stream_weight(0, 1.0);
-  // Stream 0 runs a warm-up batch, advancing its stride pass well past
-  // zero.
-  submit_host_kernels(sys, 0, 6);
-  sys.wait_all();
-  // Both streams now queue a batch; stream 1 was never weighted. If a
-  // late joiner entered at pass 0 it would monopolize the pool until it
-  // "caught up" with stream 0's history; the re-entry floor makes them
-  // alternate instead.
-  auto first = submit_host_kernels(sys, 0, 6);
-  auto second = submit_host_kernels(sys, 1, 6);
-  sys.wait_all();
-  EXPECT_LT(first[1].report().complete_ps,
-            second.back().report().complete_ps);
-}
-
-TEST(StreamWeightTest, RejectsNonPositiveWeight) {
-  core::pim_system sys(small_config());
-  EXPECT_THROW(sys.runtime().set_stream_weight(0, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(sys.runtime().set_stream_weight(0, -1.0),
-               std::invalid_argument);
-}
-
-TEST(StreamWeightTest, RejectsNonFiniteWeight) {
-  core::pim_system sys(small_config());
-  EXPECT_THROW(sys.runtime().set_stream_weight(
-                   0, std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-  EXPECT_THROW(sys.runtime().set_stream_weight(
-                   0, std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,29 +442,19 @@ TEST(DispatcherTest, BulkOpsAreMemoryBoundAndRouteToAmbit) {
   EXPECT_EQ(r.profile.host_cache_hit, 0.0);
 }
 
-TEST(DispatcherTest, PolicyModesOverrideDecision) {
+TEST(DispatcherTest, ForcedBackendOverridesDecision) {
   pim_task t;
   core::kernel_profile p;
   p.instructions = 500'000'000;
   p.memory_traffic = 64 * kib;
-  p.host_cache_hit = 0.9;  // would stay on host under adaptive
+  p.host_cache_hit = 0.9;  // the offload model keeps it on the host
   t.payload = host_kernel_args{p};
+  const dispatcher d(small_config().org);
+  EXPECT_EQ(d.route(t).where, backend_kind::host);
 
-  dispatch_policy force_pim;
-  force_pim.routing = dispatch_policy::mode::force_pim;
-  EXPECT_EQ(dispatcher(small_config().org, force_pim).route(t).where,
-            backend_kind::ndp_logic);
-
-  dispatch_policy force_host;
-  force_host.routing = dispatch_policy::mode::force_host;
-  t.payload = host_kernel_args{p};
-  EXPECT_EQ(dispatcher(small_config().org, force_host).route(t).where,
-            backend_kind::host);
-
-  // A per-task forced backend beats every policy.
+  // A per-task forced backend beats the offload decision.
   t.forced_backend = backend_kind::ndp_logic;
-  EXPECT_EQ(dispatcher(small_config().org, force_host).route(t).where,
-            backend_kind::ndp_logic);
+  EXPECT_EQ(d.route(t).where, backend_kind::ndp_logic);
 }
 
 TEST(DispatcherTest, UtilizationAccountsCompletedTasks) {
@@ -552,7 +465,9 @@ TEST(DispatcherTest, UtilizationAccountsCompletedTasks) {
   p.name = "scan";
   p.instructions = 1'000;
   p.memory_traffic = 1 * mib;
-  sys.runtime().submit_kernel(p);
+  pim_task kernel;
+  kernel.payload = host_kernel_args{p};
+  sys.submit(std::move(kernel));
   sys.wait_all();
 
   const auto util = sys.runtime().stats().backends;
@@ -631,7 +546,7 @@ TEST(WorkloadDriverTest, AllTasksCompletePerStream) {
   }
   EXPECT_EQ(r.stats.sched.submitted, 36u);
   EXPECT_EQ(r.stats.sched.completed, 36u);
-  EXPECT_TRUE(sys.runtime().idle());
+  EXPECT_TRUE(sys.runtime().sched().idle());
 }
 
 TEST(WorkloadDriverTest, StressManyConcurrentStreams) {
@@ -654,7 +569,7 @@ TEST(WorkloadDriverTest, StressManyConcurrentStreams) {
   EXPECT_EQ(r.stats.sched.submitted, 240u);
   EXPECT_EQ(r.stats.sched.completed, 240u);
   EXPECT_GT(r.stats.sched.peak_busy_banks, 1);
-  EXPECT_TRUE(sys.runtime().idle());
+  EXPECT_TRUE(sys.runtime().sched().idle());
   // Re-running on the same system must also drain cleanly.
   const drive_result r2 = driver.run(test_streams(4), false);
   EXPECT_EQ(r2.stats.sched.completed, 252u);  // cumulative counters

@@ -812,6 +812,39 @@ TEST(ServiceMigrationTest, RepeatedMigrationDoesNotExhaustCapacity) {
   EXPECT_EQ(svc.stats().requests_failed, 0u);
 }
 
+TEST(ServiceBackendTest, FleetWithPlansAndMigrationRunsOnlyInDram) {
+  // Every task the service submits lands on Ambit (bulk ops) or
+  // RowClone (plan staging and write-back, migration capture and
+  // install), never on the runtime's host or NDP executor pools. That
+  // is why the shard's admission stride is the stack's one fair-share
+  // point: if host or NDP work ever reaches a shard, its executor
+  // queues need fair share too and this test says so.
+  service_config cfg = two_shard_range();
+  cfg.sessions_per_shard = 2;
+  pim_service svc(cfg);
+  svc.start();
+  std::vector<synthetic_config> population = small_population(4);
+  for (synthetic_config& c : population) c.cross_fraction = 0.5;
+  run_synthetic_fleet(svc, population, /*burst=*/false);
+  svc.migrate_session(0, 1 - svc.owner_shard(0));
+  svc.stop();
+
+  const service_stats stats = svc.stats();
+  EXPECT_GT(stats.cross_plans, 0u);
+  EXPECT_EQ(stats.migrations, 1u);
+  EXPECT_EQ(stats.requests_failed, 0u);
+  for (const shard_stats& s : stats.shards) {
+    EXPECT_GT(s.runtime.backends.count(runtime::backend_kind::ambit), 0u)
+        << "shard " << s.shard;
+    for (const auto& [backend, b] : s.runtime.backends) {
+      EXPECT_TRUE(backend == runtime::backend_kind::ambit ||
+                  backend == runtime::backend_kind::rowclone)
+          << runtime::to_string(backend) << " ran " << b.tasks
+          << " tasks on shard " << s.shard;
+    }
+  }
+}
+
 TEST(ServiceStatsTest, TracksPerSessionLatencyPercentiles) {
   pim_service svc(small_service(2));
   svc.start();
@@ -874,6 +907,43 @@ TEST(ServiceSessionTest, InvalidWeightsAreRefusedWithoutARecord) {
   EXPECT_THROW(svc.owner_shard(1), std::invalid_argument);
   svc.stop();
   EXPECT_EQ(svc.stats().sessions, 1);
+}
+
+TEST(ServiceSessionTest, PlanIssuerIsCountedOnce) {
+  // Range routing, two sessions per shard: sessions 0 and 1 live on
+  // shard 0, sessions 2 and 3 on shard 1.
+  service_config cfg = two_shard_range();
+  cfg.sessions_per_shard = 2;
+  pim_service svc(cfg);
+  svc.start();
+  service_client issuer(svc);
+  service_client other(svc);
+  service_client owner_a(svc);
+  service_client owner_d(svc);
+  ASSERT_EQ(issuer.shard_index(), 0);
+  ASSERT_EQ(owner_a.shard_index(), 1);
+  ASSERT_EQ(owner_d.shard_index(), 1);
+
+  // A mixed-owner op whose operands all live on shard 1: the plan runs
+  // there and opens an admission queue for the issuer on shard 1.
+  const bits size = 1'000;
+  const auto va = owner_a.allocate(size, 1);
+  const auto vd = owner_d.allocate(size, 1);
+  rng gen(71);
+  const bitvector a = bitvector::random(size, gen);
+  owner_a.write(va[0], a);
+  issuer
+      .submit_shared(dram::bulk_op::not_op, owner_a.share(va[0]), nullptr,
+                     owner_d.share(vd[0]))
+      .get();
+  EXPECT_EQ(owner_d.read(vd[0]), ~a);
+
+  const service_stats stats = svc.stats();
+  EXPECT_EQ(stats.cross_plans, 1u);
+  EXPECT_EQ(stats.sessions, 4);
+  EXPECT_EQ(stats.shards[0].sessions, 2);
+  EXPECT_EQ(stats.shards[1].sessions, 3);  // the issuer's queue too
+  svc.stop();
 }
 
 TEST(ServiceShardTest, OrganizationNeedsTwoBanksPerChannel) {
