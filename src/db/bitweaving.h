@@ -32,13 +32,17 @@ column random_column(std::size_t rows, int bit_width, rng& gen);
 /// (b = 0 is the least significant bit).
 class bitslice_storage {
  public:
+  /// Transposes the column 64 rows at a time. Throws
+  /// std::invalid_argument for a width outside [1, 32] or a value of
+  /// 2^width or more.
   explicit bitslice_storage(const column& col);
 
   int width() const { return width_; }
   std::size_t rows() const { return rows_; }
   const bitvector& slice(int bit) const { return slices_[static_cast<std::size_t>(bit)]; }
 
-  /// Reconstructs one value (for tests).
+  /// Reconstructs one value (for tests). Throws std::out_of_range for
+  /// a row of rows() or more.
   std::uint32_t value_at(std::size_t row) const;
 
  private:

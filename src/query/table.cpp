@@ -110,6 +110,13 @@ void pim_table::load(int column, const db::column& data) {
   if (data.rows() != rows_) {
     throw std::invalid_argument("pim_table: row count mismatch");
   }
+  // Checked here, not by each partition's bitslice_storage, so a bad
+  // value leaves every partition as it was.
+  std::uint32_t seen = 0;
+  for (const std::uint32_t v : data.values) seen |= v;
+  if ((std::uint64_t{seen} >> data.bit_width) != 0) {
+    throw std::invalid_argument("pim_table: value wider than its column");
+  }
 
   // One loader thread per partition: each drives only its own session
   // (the client_api single-thread contract), and the shards apply the

@@ -56,10 +56,12 @@ class pim_table {
             std::vector<service::client_api*> sessions,
             int scratch_vectors = 16);
 
-  /// Loads a column's values: slices every partition's row range and
-  /// writes the slices through the partition's session (concurrently,
-  /// one thread per partition). `data` must match the schema width and
-  /// the table's row count.
+  /// Loads a column's values: slices every partition's row range, 64
+  /// rows per step, and writes the slices through the partition's
+  /// session (concurrently, one thread per partition). `data` must
+  /// match the schema width and the table's row count, and every value
+  /// must fit that width; otherwise it throws std::invalid_argument
+  /// before writing any partition.
   void load(const std::string& name, const db::column& data);
   void load(int column, const db::column& data);
 

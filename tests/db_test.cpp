@@ -8,15 +8,61 @@
 namespace pim::db {
 namespace {
 
-TEST(BitsliceStorageTest, RoundTripsValues) {
+// (rows, width): row counts around the 64-row block of the transpose,
+// including a lone partial block and tails of 1 and 3 rows.
+class BitsliceStorageTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(BitsliceStorageTest, RoundTripsValues) {
+  const auto [rows, width] = GetParam();
   rng gen(1);
-  const column col = random_column(1000, 11, gen);
+  column col = random_column(rows, width, gen);
+  // Span the whole range; the maximum sits in the last, possibly
+  // partial, block.
+  const auto max = static_cast<std::uint32_t>((std::uint64_t{1} << width) - 1);
+  col.values.front() = 0;
+  col.values.back() = max;
   const bitslice_storage st(col);
-  EXPECT_EQ(st.width(), 11);
-  EXPECT_EQ(st.rows(), 1000u);
-  for (std::size_t r = 0; r < col.rows(); ++r) {
+  EXPECT_EQ(st.width(), width);
+  EXPECT_EQ(st.rows(), rows);
+  for (int b = 0; b < width; ++b) {
+    bitvector expected(rows);
+    std::size_t ones = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const bool bit = (col.values[r] >> b) & 1u;
+      expected.set(r, bit);
+      ones += bit ? 1 : 0;
+    }
+    EXPECT_EQ(st.slice(b), expected) << "bit " << b;
+    // popcount reads whole words, so a set padding bit shows here.
+    EXPECT_EQ(st.slice(b).popcount(), ones) << "bit " << b;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
     ASSERT_EQ(st.value_at(r), col.values[r]);
   }
+  EXPECT_THROW(st.value_at(rows), std::out_of_range);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BitsliceStorageTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{63},
+                                         std::size_t{64}, std::size_t{65},
+                                         std::size_t{1000}, std::size_t{4099}),
+                       ::testing::Values(1, 11, 32)));
+
+TEST(BitsliceStorageTest, RejectsValuesWiderThanTheColumn) {
+  // Keeping only the low bits would make evaluate() disagree with the
+  // scalar reference: 20 would read as 4 in a 4-bit column.
+  column col;
+  col.bit_width = 4;
+  col.values = {20, 4, 3};
+  EXPECT_THROW(bitslice_storage{col}, std::invalid_argument);
+  col.values = {15, 4, 3};
+  EXPECT_EQ(bitslice_storage(col).value_at(0), 15u);
+  col.bit_width = 0;
+  EXPECT_THROW(bitslice_storage{col}, std::invalid_argument);
+  col.bit_width = 33;
+  EXPECT_THROW(bitslice_storage{col}, std::invalid_argument);
 }
 
 TEST(RandomColumnTest, ValuesWithinWidth) {

@@ -388,6 +388,23 @@ TEST(pim_table, validates_construction) {
     wrong_rows.bit_width = 4;
     wrong_rows.values.assign(99, 0);
     EXPECT_THROW(table.load("x", wrong_rows), std::invalid_argument);
+
+    // A value wider than its column is rejected before any partition is
+    // written: partition 0 keeps the last valid load although the bad
+    // value sits in partition 1.
+    service::service_client second(svc);
+    pim_table split({{{"x", 4}}}, 100, {&only, &second}, 4);
+    db::column valid;
+    valid.bit_width = 4;
+    valid.values.assign(100, 9);
+    split.load("x", valid);
+    db::column too_wide;
+    too_wide.bit_width = 4;
+    too_wide.values.assign(100, 0);
+    too_wide.values.back() = 20;
+    EXPECT_THROW(split.load("x", too_wide), std::invalid_argument);
+    EXPECT_EQ(only.read(split.slice(0, 0, 0)),
+              bitvector(split.partition_rows(0), true));
   }
   svc.stop();
 }
