@@ -14,21 +14,6 @@
 
 namespace pim::net {
 
-namespace {
-
-bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n =
-        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 remote_client::remote_client(const std::string& host, std::uint16_t port,
                              double weight) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -52,43 +37,23 @@ remote_client::remote_client(const std::string& host, std::uint16_t port,
   reader_ = std::thread([this] { reader_loop(); });
   writer_ = std::thread([this] { writer_loop(); });
 
-  // Handshake: check the protocol version, then open the session,
-  // both synchronously. On failure the destructor will not run, so
-  // tear the half-built connection down here.
+  // Open the session synchronously. On failure the destructor will
+  // not run, so tear the half-built connection down here.
   try {
-    negotiate(weight);
+    auto reply = std::make_shared<net_message>();
+    send_request(open_session_req{weight}, reply).get();
+    const auto* opened = std::get_if<opened_resp>(reply.get());
+    if (opened == nullptr) {
+      throw std::runtime_error("remote_client: unexpected open response");
+    }
+    session_ = opened->session;
+    shard_ = opened->shard;
   } catch (...) {
     shutdown_threads();
     ::close(fd_);
     fd_ = -1;
     throw;
   }
-}
-
-void remote_client::negotiate(double weight) {
-  {
-    auto reply = std::make_shared<net_message>();
-    send_request(hello_req{}, reply).get();
-    const auto* hello = std::get_if<hello_resp>(reply.get());
-    if (hello == nullptr) {
-      throw std::runtime_error("remote_client: unexpected hello response");
-    }
-    if (hello->version != wire_version) {
-      throw std::runtime_error(
-          "remote_client: server speaks unsupported version " +
-          std::to_string(hello->version));
-    }
-  }
-  auto reply = std::make_shared<net_message>();
-  open_session_req req;
-  req.weight = weight;
-  send_request(req, reply).get();
-  const auto* opened = std::get_if<opened_resp>(reply.get());
-  if (opened == nullptr) {
-    throw std::runtime_error("remote_client: unexpected open response");
-  }
-  session_ = opened->session;
-  shard_ = opened->shard;
 }
 
 void remote_client::shutdown_threads() {
@@ -125,7 +90,7 @@ service::request_future remote_client::send_request(
   // trace stitches the client's send to the server's dispatch and the
   // shard's simulated spans.
   const std::uint64_t id = obs::new_flow();
-  const bool flowing = obs::on() && msg.index() >= 3 && msg.index() <= 6;
+  const bool flowing = obs::on() && carries_flow(msg);
   obs::span sp("send", "net", flowing ? id : 0);
   if (flowing) {
     state->flow = id;
@@ -137,8 +102,8 @@ service::request_future remote_client::send_request(
   tx_bytes.fetch_add(frame.size(), std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (send_failed_ || closing_) {
-      throw std::runtime_error("remote_client: connection lost on send");
+    if (lost_ || closing_) {
+      throw std::runtime_error("remote_client: connection lost");
     }
     pending_.emplace(id, pending_entry{state, std::move(reply)});
     outbox_.push_back(std::move(frame));
@@ -168,7 +133,7 @@ void remote_client::writer_loop() {
     lock.lock();
     sending_ = false;
     if (!ok) {
-      send_failed_ = true;
+      lost_ = true;
       outbox_.clear();
       lock.unlock();
       // Every request already registered would wait forever on a dead
@@ -186,13 +151,7 @@ void remote_client::fail_pending(const std::string& why) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     orphans.swap(pending_);
-    // A dead connection also ends any telemetry watch: no more pushes
-    // can arrive, so release an unwatch_stats() parked on the final
-    // one.
-    watch_cb_ = nullptr;
-    watch_id_ = 0;
   }
-  watch_cv_.notify_all();
   for (auto& [id, p] : orphans) {
     (void)id;
     fail(*p.state, why);
@@ -214,29 +173,20 @@ void remote_client::reader_loop() {
     try {
       splitter.feed(buf.data(), static_cast<std::size_t>(n));
       while (auto f = splitter.next()) {
-        // Server-initiated telemetry pushes are not responses: they
-        // re-use the watch request's id for demux but never complete a
-        // pending future. Dispatch to the watch callback (outside the
-        // lock — it is user code) and keep reading.
-        if (const auto* push = std::get_if<stats_push_resp>(&f->msg)) {
-          std::function<void(const stats_push_resp&)> cb;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (f->id == watch_id_) cb = watch_cb_;
-            if (push->last != 0 && f->id == watch_id_) {
-              watch_cb_ = nullptr;
-              watch_id_ = 0;
-            }
-          }
-          if (cb) cb(*push);
-          if (push->last != 0) watch_cv_.notify_all();
-          continue;
-        }
         pending_entry entry;
         {
           std::lock_guard<std::mutex> lock(mu_);
           auto it = pending_.find(f->id);
-          if (it == pending_.end()) continue;  // stale/unknown id: drop
+          if (it == pending_.end()) {
+            // Every frame answers one request of this client. An error
+            // frame that answers none is the server's reason for
+            // hanging up (a frame it could not parse); any other frame
+            // means the peer does not speak this protocol.
+            const auto* err = std::get_if<error_resp>(&f->msg);
+            if (err != nullptr) throw std::runtime_error(err->message);
+            throw protocol_error("response to unknown request " +
+                                 std::to_string(f->id));
+          }
           entry = std::move(it->second);
           pending_.erase(it);
         }
@@ -255,10 +205,14 @@ void remote_client::reader_loop() {
           complete(*entry.state, std::move(result));
         }
       }
-    } catch (const protocol_error& e) {
+    } catch (const std::exception& e) {
       reason = e.what();
       break;
     }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    lost_ = true;
   }
   fail_pending(reason);
 }
@@ -359,55 +313,14 @@ std::string remote_client::metrics_json() {
   return metrics->json;
 }
 
-void remote_client::watch_stats(
-    std::uint32_t interval_ms,
-    std::function<void(const stats_push_resp&)> on_push,
-    std::int64_t slow_threshold_ns) {
-  watch_stats_req req;
-  req.interval_ms = interval_ms;
-  req.slow_threshold_ns = slow_threshold_ns;
-  // Not send_request: pushes echo this id many times, so it must not
-  // live in pending_ (the first push would pop it and orphan the
-  // rest). The frame goes straight onto the outbox.
-  const std::uint64_t id = obs::new_flow();
-  std::vector<std::uint8_t> frame = encode_frame(id, req);
-  static std::atomic<std::uint64_t>& tx_bytes =
-      obs::metrics_registry::instance().counter("net.client.tx_bytes");
-  tx_bytes.fetch_add(frame.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (send_failed_ || closing_) {
-      throw std::runtime_error("remote_client: connection lost on send");
-    }
-    watch_id_ = id;
-    watch_cb_ = std::move(on_push);
-    outbox_.push_back(std::move(frame));
+obs::metrics_snapshot remote_client::snapshot(std::int64_t slow_threshold_ns) {
+  auto reply = std::make_shared<net_message>();
+  send_request(snapshot_req{slow_threshold_ns}, reply).get();
+  auto* snap = std::get_if<snapshot_resp>(reply.get());
+  if (snap == nullptr) {
+    throw std::runtime_error("remote_client: unexpected snapshot response");
   }
-  out_cv_.notify_all();
-}
-
-void remote_client::unwatch_stats() {
-  watch_stats_req req;
-  req.interval_ms = 0;  // cancel
-  const std::uint64_t id = obs::new_flow();
-  std::vector<std::uint8_t> frame = encode_frame(id, req);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (watch_cb_ == nullptr) return;  // no active watch
-  if (send_failed_ || closing_) {
-    watch_cb_ = nullptr;
-    watch_id_ = 0;
-    return;
-  }
-  // The final push answers under the cancel's id.
-  watch_id_ = id;
-  outbox_.push_back(std::move(frame));
-  out_cv_.notify_all();
-  // Bounded: a server that dies mid-cancel must not wedge the caller;
-  // fail_pending clears the watch and notifies on connection loss.
-  watch_cv_.wait_for(lock, std::chrono::seconds(5),
-                     [&] { return watch_cb_ == nullptr; });
-  watch_cb_ = nullptr;
-  watch_id_ = 0;
+  return std::move(snap->snap);
 }
 
 std::uint64_t remote_client::trace_ctl(std::uint8_t action,

@@ -1,8 +1,8 @@
 // remote_client: the out-of-process counterpart of service_client.
 //
-// Connects to a pim_server, checks the protocol version (hello
-// exchange: the client offers its version, the server answers its
-// own), opens one session, and implements
+// Connects to a pim_server, opens one session (its first frame; a
+// server on another version refuses that frame by its version byte),
+// and implements
 // service::client_api over the wire protocol — so any workload written
 // against client_api (the examples, the synthetic fleets) runs
 // unchanged over a socket. Requests are pipelined: submit_bulk/
@@ -26,7 +26,6 @@
 
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -39,7 +38,7 @@ namespace pim::net {
 class remote_client final : public service::client_api {
  public:
   /// Connects and opens a session of the given fair-share weight;
-  /// throws on connection or handshake failure.
+  /// throws if either fails.
   remote_client(const std::string& host, std::uint16_t port,
                 double weight = 1.0);
   ~remote_client() override;
@@ -85,22 +84,12 @@ class remote_client final : public service::client_api {
   std::uint64_t trace_dump(const std::string& path,
                            std::string* json = nullptr);
 
-  /// Subscribes to the server's streaming telemetry (the wire
-  /// `watch_stats` op): `on_push` runs on this client's reader thread
-  /// for every server-initiated stats_push frame — seq 0 is a full
-  /// snapshot, later pushes carry only changed entries (fold them into
-  /// a cumulative view). The first push doubles as the subscription
-  /// ack. `slow_threshold_ns >= 0` also sets the server's slow-request
-  /// log threshold (-1 leaves it untouched). A second call replaces
-  /// the active watch (the stream restarts at seq 0).
-  void watch_stats(std::uint32_t interval_ms,
-                   std::function<void(const stats_push_resp&)> on_push,
-                   std::int64_t slow_threshold_ns = -1);
-
-  /// Cancels the active watch and waits (bounded) for the server's
-  /// final push — delivered to the callback with `last` set — so no
-  /// push callback runs after this returns on an orderly cancel.
-  void unwatch_stats();
+  /// The server's metrics at this instant (the wire `snapshot` op):
+  /// registry counters, gauges and histograms plus the service
+  /// aggregates named in snapshot_resp. `slow_threshold_ns >= 0` also
+  /// sets the server's slow-request log threshold (-1 leaves it
+  /// untouched).
+  obs::metrics_snapshot snapshot(std::int64_t slow_threshold_ns = -1);
 
   /// Connection-level close of this client's session on the server.
   void close_session();
@@ -108,8 +97,8 @@ class remote_client final : public service::client_api {
  private:
   struct pending_entry {
     std::shared_ptr<service::request_state> state;
-    /// Raw reply for control responses (opened/waited/stats) that do
-    /// not map onto request_result.
+    /// Raw reply for control responses (opened, metrics, trace,
+    /// snapshot) that do not map onto request_result.
     std::shared_ptr<net_message> reply;
   };
 
@@ -117,7 +106,6 @@ class remote_client final : public service::client_api {
   /// the future.
   service::request_future send_request(const net_message& msg,
                                        std::shared_ptr<net_message> reply);
-  void negotiate(double weight);
   std::uint64_t trace_ctl(std::uint8_t action, const std::string& path,
                           std::string* json);
   void reader_loop();
@@ -134,15 +122,10 @@ class remote_client final : public service::client_api {
   std::deque<std::vector<std::uint8_t>> outbox_;
   bool closing_ = false;
   bool sending_ = false;  // writer is inside a send syscall
-  bool send_failed_ = false;
+  /// A send failed or the reader stopped: no later request could be
+  /// answered, so send_request refuses it.
+  bool lost_ = false;
   std::unordered_map<std::uint64_t, pending_entry> pending_;
-  /// Active telemetry watch: the request id stats_push frames echo and
-  /// the callback the reader hands them to. Both under mu_; watch_cv_
-  /// signals the final (last=1) push or connection loss to
-  /// unwatch_stats.
-  std::uint64_t watch_id_ = 0;
-  std::function<void(const stats_push_resp&)> watch_cb_;
-  std::condition_variable watch_cv_;
   std::thread reader_;
   std::thread writer_;
 

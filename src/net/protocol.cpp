@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <sys/socket.h>
+
 #include <bit>
 #include <cstring>
 #include <iterator>
@@ -61,6 +63,29 @@ void put_shared(std::vector<std::uint8_t>& out,
                 const service::shared_vector& sv) {
   put_u64(out, sv.owner);
   put_vector(out, sv.v);
+}
+
+/// Counters, gauges, then each histogram as its 65 bucket counts (the
+/// count is their sum).
+void put_snapshot(std::vector<std::uint8_t>& out,
+                  const obs::metrics_snapshot& snap) {
+  put_u32(out, static_cast<std::uint32_t>(snap.counters.size()));
+  for (const auto& [name, value] : snap.counters) {
+    put_string(out, name);
+    put_u64(out, value);
+  }
+  put_u32(out, static_cast<std::uint32_t>(snap.gauges.size()));
+  for (const auto& [name, value] : snap.gauges) {
+    put_string(out, name);
+    put_i64(out, value);
+  }
+  put_u32(out, static_cast<std::uint32_t>(snap.histograms.size()));
+  for (const auto& [name, h] : snap.histograms) {
+    put_string(out, name);
+    for (std::size_t b = 0; b < geo_histogram::bucket_count; ++b) {
+      put_u64(out, h.bucket(b));
+    }
+  }
 }
 
 void put_report(std::vector<std::uint8_t>& out, const runtime::task_report& r) {
@@ -190,6 +215,29 @@ struct reader {
   }
 
   dram::bulk_op op() { return enum_u8(dram::bulk_op::xnor_op, "bulk op"); }
+
+  obs::metrics_snapshot snapshot() {
+    obs::metrics_snapshot snap;
+    for (std::uint32_t n = u32(); n > 0; --n) {
+      std::string name = str();
+      snap.counters[std::move(name)] = u64();
+    }
+    for (std::uint32_t n = u32(); n > 0; --n) {
+      std::string name = str();
+      snap.gauges[std::move(name)] = i64();
+    }
+    for (std::uint32_t n = u32(); n > 0; --n) {
+      geo_histogram& h = snap.histograms[str()];
+      // Bucket b holds the samples of bit width b, so recording its
+      // lowest sample with the bucket's count rebuilds it exactly.
+      for (std::size_t b = 0; b < geo_histogram::bucket_count; ++b) {
+        const std::uint64_t count = u64();
+        const std::uint64_t lowest = b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+        if (count != 0) h.record(lowest, count);
+      }
+    }
+    return snap;
+  }
 };
 
 void encode_body(std::vector<std::uint8_t>& out, const net_message& msg) {
@@ -233,39 +281,15 @@ void encode_body(std::vector<std::uint8_t>& out, const net_message& msg) {
         } else if constexpr (std::is_same_v<T, trace_ctl_req>) {
           put_u8(out, m.action);
           put_string(out, m.path);
-        } else if constexpr (std::is_same_v<T, watch_stats_req>) {
-          put_u32(out, m.interval_ms);
+        } else if constexpr (std::is_same_v<T, snapshot_req>) {
           put_i64(out, m.slow_threshold_ns);
-        } else if constexpr (std::is_same_v<T, stats_push_resp>) {
-          put_u64(out, m.seq);
-          put_u8(out, m.last);
-          put_u32(out, static_cast<std::uint32_t>(m.counters.size()));
-          for (const auto& [name, value] : m.counters) {
-            put_string(out, name);
-            put_u64(out, value);
-          }
-          put_u32(out, static_cast<std::uint32_t>(m.gauges.size()));
-          for (const auto& [name, value] : m.gauges) {
-            put_string(out, name);
-            put_i64(out, value);
-          }
-          put_u32(out, static_cast<std::uint32_t>(m.hists.size()));
-          for (const auto& h : m.hists) {
-            put_string(out, h.name);
-            put_u64(out, h.count);
-            put_f64(out, h.p50);
-            put_f64(out, h.p95);
-            put_f64(out, h.p99);
-          }
+        } else if constexpr (std::is_same_v<T, snapshot_resp>) {
+          put_snapshot(out, m.snap);
         } else if constexpr (std::is_same_v<T, metrics_resp>) {
           put_string(out, m.json);
         } else if constexpr (std::is_same_v<T, trace_ack_resp>) {
           put_u64(out, m.events);
           put_string(out, m.json);
-        } else if constexpr (std::is_same_v<T, hello_req>) {
-          put_u8(out, m.max_version);
-        } else if constexpr (std::is_same_v<T, hello_resp>) {
-          put_u8(out, m.version);
         } else if constexpr (std::is_same_v<T, opened_resp>) {
           put_u64(out, m.session);
           put_i32(out, m.shard);
@@ -346,38 +370,14 @@ net_message decode_body(opcode op, reader& in) {
       m.path = in.str();
       return m;
     }
-    case opcode::watch_stats: {
-      watch_stats_req m;
-      m.interval_ms = in.u32();
+    case opcode::snapshot: {
+      snapshot_req m;
       m.slow_threshold_ns = in.i64();
       return m;
     }
-    case opcode::stats_push: {
-      stats_push_resp m;
-      m.seq = in.u64();
-      m.last = in.u8();
-      const std::uint32_t nc = in.u32();
-      for (std::uint32_t i = 0; i < nc; ++i) {
-        std::string name = in.str();
-        const std::uint64_t value = in.u64();
-        m.counters.emplace_back(std::move(name), value);
-      }
-      const std::uint32_t ng = in.u32();
-      for (std::uint32_t i = 0; i < ng; ++i) {
-        std::string name = in.str();
-        const std::int64_t value = in.i64();
-        m.gauges.emplace_back(std::move(name), value);
-      }
-      const std::uint32_t nh = in.u32();
-      for (std::uint32_t i = 0; i < nh; ++i) {
-        stats_push_resp::hist_entry h;
-        h.name = in.str();
-        h.count = in.u64();
-        h.p50 = in.f64();
-        h.p95 = in.f64();
-        h.p99 = in.f64();
-        m.hists.push_back(std::move(h));
-      }
+    case opcode::snapshot_report: {
+      snapshot_resp m;
+      m.snap = in.snapshot();
       return m;
     }
     case opcode::metrics_report: {
@@ -389,16 +389,6 @@ net_message decode_body(opcode op, reader& in) {
       trace_ack_resp m;
       m.events = in.u64();
       m.json = in.str();
-      return m;
-    }
-    case opcode::hello: {
-      hello_req m;
-      m.max_version = in.u8();
-      return m;
-    }
-    case opcode::hello_ack: {
-      hello_resp m;
-      m.version = in.u8();
       return m;
     }
     case opcode::opened: {
@@ -444,14 +434,31 @@ opcode opcode_of(const net_message& msg) {
   static constexpr opcode table[] = {
       opcode::open_session,  opcode::close_session, opcode::allocate,
       opcode::write,         opcode::read,          opcode::submit,
-      opcode::submit_shared, opcode::wait,          opcode::hello,
-      opcode::get_metrics,   opcode::trace_ctl,     opcode::watch_stats,
-      opcode::opened,        opcode::closed,        opcode::vectors,
-      opcode::data,          opcode::done,          opcode::waited,
-      opcode::error,         opcode::hello_ack,     opcode::metrics_report,
-      opcode::trace_ack,     opcode::stats_push};
+      opcode::submit_shared, opcode::wait,          opcode::get_metrics,
+      opcode::trace_ctl,     opcode::snapshot,      opcode::opened,
+      opcode::closed,        opcode::vectors,       opcode::data,
+      opcode::done,          opcode::waited,        opcode::error,
+      opcode::metrics_report, opcode::trace_ack,    opcode::snapshot_report};
   static_assert(std::size(table) == std::variant_size_v<net_message>);
   return table[msg.index()];
+}
+
+bool carries_flow(const net_message& msg) {
+  return std::holds_alternative<write_req>(msg) ||
+         std::holds_alternative<read_req>(msg) ||
+         std::holds_alternative<submit_req>(msg) ||
+         std::holds_alternative<submit_shared_req>(msg);
+}
+
+bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
+  std::size_t off = 0;
+  while (off < buf.size()) {
+    const ssize_t n =
+        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 std::vector<std::uint8_t> encode_frame(std::uint64_t id,
@@ -499,7 +506,11 @@ std::optional<net_frame> frame_splitter::next() {
   reader in{buf_.data() + pos_ + 8, length, 0};
   pos_ += 8 + length;
 
-  if (in.u8() != wire_version) throw protocol_error("unsupported version");
+  if (const std::uint8_t version = in.u8(); version != wire_version) {
+    throw protocol_error("unsupported version " + std::to_string(version) +
+                         " (this build speaks " +
+                         std::to_string(wire_version) + ")");
+  }
   net_frame frame;
   frame.id = in.u64();
   last_id_ = frame.id;

@@ -18,10 +18,13 @@
 // requests, 64 and above are responses; an error_resp can answer any
 // request.
 //
-// The message set covers the full client_api surface (open/close
-// session, allocate, write, read, submit, submit_shared, wait) plus
-// the telemetry and control requests (hello, get_metrics, trace_ctl,
-// watch_stats).
+// Every frame is a request or the one response to a request: the
+// server never sends unasked. The message set covers the full
+// client_api surface (open/close session, allocate, write, read,
+// submit, submit_shared, wait) plus the telemetry and control requests
+// (get_metrics, trace_ctl, snapshot). There is no handshake: a
+// client's first frame is open_session, and a peer on another version
+// is refused by the version byte its first frame carries.
 // encode_frame/frame_splitter round-trip on plain byte buffers with no
 // socket involved — which is how the framing tests exercise every
 // message type and every malformed-input path (bad magic, oversized
@@ -37,6 +40,7 @@
 #include <variant>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/task.h"
 #include "service/request.h"
 
@@ -45,7 +49,9 @@ namespace pim::net {
 inline constexpr std::uint32_t wire_magic = 0x50494D31;  // "1MIP" on the wire
 /// The one protocol version this build speaks and parses: every frame
 /// carries it, and a frame stamped with any other version is a
-/// protocol error. A done frame's task report is the field list of
+/// protocol error, which the server answers with one error frame
+/// naming both versions before it closes the connection. A done
+/// frame's task report is the field list of
 /// runtime::for_each_wire_field.
 inline constexpr std::uint8_t wire_version = 4;
 /// Upper bound on one frame's payload: comfortably above any realistic
@@ -70,10 +76,9 @@ enum class opcode : std::uint8_t {
   submit = 6,
   submit_shared = 7,
   wait = 8,
-  hello = 10,
   get_metrics = 11,
   trace_ctl = 12,
-  watch_stats = 13,
+  snapshot = 14,
   // Responses.
   opened = 64,
   closed = 65,
@@ -82,10 +87,9 @@ enum class opcode : std::uint8_t {
   done = 68,
   waited = 69,
   error = 71,
-  hello_ack = 72,
   metrics_report = 73,
   trace_ack = 74,
-  stats_push = 75,
+  snapshot_report = 76,
 };
 
 // --- request bodies --------------------------------------------------------
@@ -140,15 +144,6 @@ struct submit_shared_req {
 /// submitted before it has completed server-side.
 struct wait_req {};
 
-/// Version check, sent by the client as its first frame: "the highest
-/// version I speak". The server answers hello_resp with wire_version.
-/// A client max below wire_version is a mismatch: the server answers
-/// one error frame and closes the connection. Clients that skip the
-/// exchange are framed at wire_version like everyone else.
-struct hello_req {
-  std::uint8_t max_version = wire_version;
-};
-
 /// Snapshot of the server process's obs::metrics_registry (counters,
 /// gauges, histograms) plus the service's aggregate stats, as JSON.
 struct get_metrics_req {};
@@ -162,16 +157,11 @@ struct trace_ctl_req {
   std::string path;  // dump only; empty = return JSON inline
 };
 
-/// Subscribes this connection to streaming telemetry: the server
-/// pushes stats_push frames (echoing this request's id) every
-/// `interval_ms` until the watch is replaced, cancelled, or the
-/// connection closes. interval_ms == 0 cancels the watch; either way
-/// the server answers with one immediate push (the cancel's push has
-/// `last` set). `slow_threshold_ns >= 0` also sets the server's
-/// slow-request log threshold (-1 leaves it untouched) — the runtime
+/// One point-in-time copy of the server's metrics, answered by
+/// snapshot_resp. `slow_threshold_ns >= 0` also sets the server's
+/// slow-request log threshold (-1 leaves it untouched): the runtime
 /// knob for tail-based span retention.
-struct watch_stats_req {
-  std::uint32_t interval_ms = 1000;
+struct snapshot_req {
   std::int64_t slow_threshold_ns = -1;
 };
 
@@ -205,11 +195,6 @@ struct error_resp {
   std::string message;
 };
 
-/// The version the server frames at (always wire_version).
-struct hello_resp {
-  std::uint8_t version = wire_version;
-};
-
 /// Answer to get_metrics: one JSON document with "metrics" (registry
 /// snapshot), "service" (service_stats::to_json of
 /// pim_service::stats()) and "slow_requests" members.
@@ -224,40 +209,35 @@ struct trace_ack_resp {
   std::string json;
 };
 
-/// One server-initiated telemetry frame, echoing the watch_stats
-/// request id so pipelined clients demux it like any response. The
-/// payload is a *delta* encoding of the metrics registry: seq 0
-/// carries every counter/gauge/histogram, later pushes only entries
-/// whose value changed since the previous push — the consumer folds
-/// them into its cumulative view (tools/pim_top renders that view and
-/// re-exposes it as OpenMetrics). Per-shard gauges ride along under
-/// their registry names ("service.shard.N.queue_depth", ...), and the
-/// server injects service-level aggregates (latency percentiles, top
-/// sessions) as synthetic "service.*" entries.
-struct stats_push_resp {
-  struct hist_entry {
-    std::string name;
-    std::uint64_t count = 0;
-    double p50 = 0, p95 = 0, p99 = 0;
-  };
-
-  std::uint64_t seq = 0;
-  std::uint8_t last = 0;  // 1 = final push of a cancelled watch
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<hist_entry> hists;
+/// Answer to snapshot: the server's metrics registry (counters,
+/// gauges, and each histogram's bucket counts) plus service-level
+/// aggregates under synthetic "service.*" names: request and meter
+/// counters, the service latency histogram "service.latency_ns", and
+/// the top sessions by request count. Per-shard gauges ride under
+/// their registry names ("service.shard.N.queue_depth", ...).
+struct snapshot_resp {
+  obs::metrics_snapshot snap;
 };
 
 using net_message =
     std::variant<open_session_req, close_session_req, allocate_req, write_req,
-                 read_req, submit_req, submit_shared_req, wait_req, hello_req,
-                 get_metrics_req, trace_ctl_req, watch_stats_req, opened_resp,
+                 read_req, submit_req, submit_shared_req, wait_req,
+                 get_metrics_req, trace_ctl_req, snapshot_req, opened_resp,
                  closed_resp, vectors_resp, data_resp, done_resp, waited_resp,
-                 error_resp, hello_resp, metrics_resp, trace_ack_resp,
-                 stats_push_resp>;
+                 error_resp, metrics_resp, trace_ack_resp, snapshot_resp>;
 
 /// Opcode of a message (the tag byte its frame carries).
 opcode opcode_of(const net_message& msg);
+
+/// True for the requests that run on a shard (write, read, submit,
+/// submit_shared): both ends use the wire request id as their trace
+/// flow id.
+bool carries_flow(const net_message& msg);
+
+/// Writes the whole buffer to a stream socket, absorbing partial
+/// sends; false on a dead peer. MSG_NOSIGNAL: a closed peer surfaces
+/// as an error code, not SIGPIPE.
+bool send_all(int fd, const std::vector<std::uint8_t>& buf);
 
 /// One decoded frame.
 struct net_frame {

@@ -8,10 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -22,24 +20,6 @@
 #include "runtime/task.h"
 
 namespace pim::net {
-
-namespace {
-
-/// Writes the whole buffer, absorbing partial sends; false on a dead
-/// peer. MSG_NOSIGNAL: a closed client must surface as an error code,
-/// not SIGPIPE.
-bool send_all(int fd, const std::vector<std::uint8_t>& buf) {
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n =
-        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 /// Per-connection demultiplexer state. Held by shared_ptr from the
 /// connection AND from every pending request's completion hook, so a
@@ -69,19 +49,6 @@ struct connection_demux {
   std::deque<std::uint64_t> completed;
   /// Parked wait barriers, answered when inflight drains to empty.
   std::vector<std::uint64_t> waiting;
-
-  // --- streaming telemetry (watch_stats) -----------------------------------
-  // The reader records the watch parameters; the writer produces the
-  // pushes (it already owns the socket's send side). watch_epoch bumps
-  // on every watch_stats request, telling the writer to restart its
-  // delta baseline (seq 0 = full snapshot) and acknowledge with an
-  // immediate push. Non-watching connections never touch any of this
-  // past the writer's wait predicate — the stream costs them nothing.
-  bool watching = false;
-  std::uint64_t watch_id = 0;       // request id pushes echo
-  std::uint64_t watch_epoch = 0;    // bumps per watch_stats request
-  std::uint32_t watch_interval_ms = 0;
-  bool watch_cancel = false;  // next push carries last=1, then stop
 };
 
 struct pim_server::connection {
@@ -229,20 +196,9 @@ net_message build_response(connection_demux::pending& p) {
   }
 }
 
-/// The watcher-side view a delta push diffs against: every entry the
-/// previous pushes carried, by name. Reset when a new watch starts.
-struct watch_baseline {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, stats_push_resp::hist_entry> hists;
-};
-
-/// Builds one stats_push frame: registry snapshot + synthetic
-/// "service.*" aggregates, delta-encoded against `base` (seq 0 sends
-/// everything). Updates `base` to the new cumulative view.
-stats_push_resp build_stats_push(service::pim_service& svc,
-                                 watch_baseline& base, std::uint64_t seq,
-                                 bool last) {
+/// The snapshot request's answer: the registry snapshot plus
+/// synthetic "service.*" aggregates.
+obs::metrics_snapshot build_snapshot(service::pim_service& svc) {
   // stats() walks every shard's stats(), which refreshes the fast-
   // moving per-shard registry gauges — so the snapshot below is
   // current even mid-burst.
@@ -288,107 +244,20 @@ stats_push_resp build_stats_push(service::pim_service& svc,
     snap.gauges[slot + ".p99_ns"] =
         static_cast<std::int64_t>(top[k].second->percentile(0.99));
   }
-
-  stats_push_resp push;
-  push.seq = seq;
-  push.last = last ? 1 : 0;
-  for (const auto& [name, v] : snap.counters) {
-    auto it = base.counters.find(name);
-    if (seq == 0 || it == base.counters.end() || it->second != v) {
-      push.counters.emplace_back(name, v);
-      base.counters[name] = v;
-    }
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    auto it = base.gauges.find(name);
-    if (seq == 0 || it == base.gauges.end() || it->second != v) {
-      push.gauges.emplace_back(name, v);
-      base.gauges[name] = v;
-    }
-  }
-  auto hist_changed = [](const stats_push_resp::hist_entry& a,
-                         const stats_push_resp::hist_entry& b) {
-    return a.count != b.count || a.p50 != b.p50 || a.p95 != b.p95 ||
-           a.p99 != b.p99;
-  };
-  auto add_hist = [&](const std::string& name, std::uint64_t count,
-                      double p50, double p95, double p99) {
-    stats_push_resp::hist_entry e{name, count, p50, p95, p99};
-    auto it = base.hists.find(name);
-    if (seq == 0 || it == base.hists.end() || hist_changed(it->second, e)) {
-      base.hists[name] = e;
-      push.hists.push_back(std::move(e));
-    }
-  };
-  for (const auto& [name, h] : snap.histograms) {
-    add_hist(name, h.count(), h.percentile(0.50), h.percentile(0.95),
-             h.percentile(0.99));
-  }
-  add_hist("service.latency_ns", st.latency.count(),
-           st.latency.percentile(0.50), st.latency.percentile(0.95),
-           st.latency.percentile(0.99));
-  return push;
+  snap.histograms["service.latency_ns"] = st.latency;
+  return snap;
 }
 
-void writer_loop(int fd, std::shared_ptr<connection_demux> dx,
-                 service::pim_service* svc) {
+void writer_loop(int fd, std::shared_ptr<connection_demux> dx) {
   obs::tracer::instance().name_thread("pim-net", "server writer");
   auto& tx_bytes =
       obs::metrics_registry::instance().counter("net.server.tx_bytes");
 
-  // Watch production state, all writer-local: the delta baseline, the
-  // push sequence, and the next deadline. epoch_seen trails
-  // dx->watch_epoch; a mismatch means a new watch_stats request
-  // arrived and the stream restarts from a full snapshot.
-  watch_baseline baseline;
-  std::uint64_t epoch_seen = 0;
-  std::uint64_t seq = 0;
-  auto next_push = std::chrono::steady_clock::time_point::max();
-
   std::unique_lock<std::mutex> lock(dx->mu);
   for (;;) {
-    const auto ready = [&] {
-      return dx->closing || !dx->outgoing.empty() || !dx->completed.empty() ||
-             dx->watch_epoch != epoch_seen;
-    };
-    if (dx->watching) {
-      dx->cv.wait_until(lock, next_push, ready);
-    } else {
-      // Non-watching connections take the original untimed wait: the
-      // watch machinery costs them one boolean test per wakeup.
-      dx->cv.wait(lock, ready);
-    }
-
-    if (dx->watch_epoch != epoch_seen) {
-      epoch_seen = dx->watch_epoch;
-      baseline = watch_baseline{};
-      seq = 0;
-      next_push = std::chrono::steady_clock::now();  // immediate ack push
-    }
-    if (dx->watching && !dx->closing &&
-        std::chrono::steady_clock::now() >= next_push) {
-      const std::uint64_t watch_id = dx->watch_id;
-      const bool final_push = dx->watch_cancel;
-      const auto interval = std::chrono::milliseconds(dx->watch_interval_ms);
-      lock.unlock();
-      stats_push_resp push = build_stats_push(*svc, baseline, seq, final_push);
-      std::vector<std::uint8_t> frame =
-          encode_response(watch_id, std::move(push));
-      lock.lock();
-      // A new watch may have replaced this one while the snapshot was
-      // being built; its own epoch turn will acknowledge it.
-      if (dx->watch_epoch == epoch_seen) {
-        dx->outgoing.push_back(std::move(frame));
-        ++seq;
-        if (final_push) {
-          dx->watching = false;
-          dx->watch_cancel = false;
-          next_push = std::chrono::steady_clock::time_point::max();
-        } else {
-          next_push = std::chrono::steady_clock::now() + interval;
-        }
-      }
-    }
+    dx->cv.wait(lock, [&] {
+      return dx->closing || !dx->outgoing.empty() || !dx->completed.empty();
+    });
     // Turn completions into response frames, in completion order.
     while (!dx->completed.empty()) {
       const std::uint64_t id = dx->completed.front();
@@ -451,8 +320,8 @@ void pim_server::accept_loop(const int listen_fd) {
     auto conn = std::make_unique<connection>();
     conn->fd = fd;
     connection* c = conn.get();
-    c->writer = std::thread([this, fd, dx = c->dx, c] {
-      writer_loop(fd, dx, &svc_);
+    c->writer = std::thread([fd, dx = c->dx, c] {
+      writer_loop(fd, dx);
       // A dead writer (peer stopped reading, or protocol error already
       // flushed) means the connection is over: wake the reader off its
       // blocking recv too.
@@ -508,8 +377,7 @@ void pim_server::accept_loop(const int listen_fd) {
         // The wire request id doubles as the flow id for async
         // requests (both sides mint from obs::new_flow()); non-flow
         // requests just get a labeled span.
-        const bool flowing =
-            obs::on() && f.msg.index() >= 3 && f.msg.index() <= 6;
+        const bool flowing = obs::on() && carries_flow(f.msg);
         obs::span sp("dispatch", "net", flowing ? id : 0);
         if (flowing) obs::emit_flow_step(id, "request", "net");
         try {
@@ -580,17 +448,6 @@ void pim_server::accept_loop(const int listen_fd) {
                     }
                   }
                   if (drained) enqueue_frame(*dx, id, waited_resp{});
-                } else if constexpr (std::is_same_v<T, hello_req>) {
-                  // A client that cannot speak our version gets one
-                  // clean error frame (protocol_error closes this
-                  // connection).
-                  if (m.max_version < wire_version) {
-                    throw protocol_error(
-                        "incompatible protocol version: client max " +
-                        std::to_string(m.max_version) + " below server " +
-                        std::to_string(wire_version));
-                  }
-                  enqueue_frame(*dx, id, hello_resp{});
                 } else if constexpr (std::is_same_v<T, get_metrics_req>) {
                   json_writer json;
                   json.begin_object();
@@ -605,22 +462,12 @@ void pim_server::accept_loop(const int listen_fd) {
                   json.end_object();
                   json.end_object();
                   enqueue_frame(*dx, id, metrics_resp{json.str()});
-                } else if constexpr (std::is_same_v<T, watch_stats_req>) {
-                  // The runtime knob for tail-based span retention
-                  // rides on the watch request; -1 leaves it alone.
+                } else if constexpr (std::is_same_v<T, snapshot_req>) {
                   if (m.slow_threshold_ns >= 0) {
                     obs::slow_request_log::instance().set_threshold_ns(
                         m.slow_threshold_ns);
                   }
-                  {
-                    std::lock_guard<std::mutex> l(dx->mu);
-                    dx->watch_id = id;
-                    dx->watch_interval_ms = m.interval_ms;
-                    dx->watch_cancel = m.interval_ms == 0;
-                    dx->watching = true;
-                    ++dx->watch_epoch;
-                  }
-                  dx->cv.notify_all();
+                  enqueue_frame(*dx, id, snapshot_resp{build_snapshot(svc_)});
                 } else if constexpr (std::is_same_v<T, trace_ctl_req>) {
                   obs::tracer& t = obs::tracer::instance();
                   trace_ack_resp resp;

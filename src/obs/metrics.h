@@ -59,8 +59,8 @@ class histogram_cell {
   geo_histogram h_;
 };
 
-/// Point-in-time copy of the whole registry — the unit the streaming
-/// telemetry channel diffs and the OpenMetrics exposition renders.
+/// Point-in-time copy of the whole registry: the body of the wire
+/// `snapshot` response and what the OpenMetrics exposition renders.
 struct metrics_snapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -126,9 +126,8 @@ std::string openmetrics(const metrics_snapshot& snap,
 
 /// Maps a registry name onto the Prometheus name grammar
 /// ([a-zA-Z_:][a-zA-Z0-9_:]*): dots and other outsiders become
-/// underscores, a leading digit gets one prepended. Exposed so
-/// remote expositions (tools/pim_top rebuilding OpenMetrics from the
-/// watch_stats stream) match the in-process rendering exactly.
+/// underscores, a leading digit gets one prepended. openmetrics()
+/// names every metric through it.
 std::string sanitize_metric_name(const std::string& name);
 
 }  // namespace pim::obs

@@ -129,7 +129,7 @@ enum class meter_kind {
 /// One scheduler meter, declared once. `name` is its spelling on every
 /// live surface: the stats JSON (the service's "sim" object and each
 /// shard's entry), the shard gauges `service.shard.N.<name>`, the
-/// watch_stats counters `service.<name>` and pim_top. `label` is its
+/// snapshot counters `service.<name>` and pim_top. `label` is its
 /// short name on pim_top's moved: or waits: line (empty for the other
 /// kinds). A shard's scheduler meters it in `shard`;
 /// pim_service::stats() sums the shards into `total`.

@@ -29,10 +29,9 @@ wire_schema_info canonical_wire_schema() {
       {raw(opcode::submit), "submit", true, raw(opcode::done)},
       {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done)},
       {raw(opcode::wait), "wait", true, raw(opcode::waited)},
-      {raw(opcode::hello), "hello", true, raw(opcode::hello_ack)},
       {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report)},
       {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack)},
-      {raw(opcode::watch_stats), "watch_stats", true, raw(opcode::stats_push)},
+      {raw(opcode::snapshot), "snapshot", true, raw(opcode::snapshot_report)},
       // responses
       {raw(opcode::opened), "opened", false, 0},
       {raw(opcode::closed), "closed", false, 0},
@@ -41,16 +40,15 @@ wire_schema_info canonical_wire_schema() {
       {raw(opcode::done), "done", false, 0},
       {raw(opcode::waited), "waited", false, 0},
       {raw(opcode::error), "error", false, 0},
-      {raw(opcode::hello_ack), "hello_ack", false, 0},
       {raw(opcode::metrics_report), "metrics_report", false, 0},
       {raw(opcode::trace_ack), "trace_ack", false, 0},
-      {raw(opcode::stats_push), "stats_push", false, 0},
+      {raw(opcode::snapshot_report), "snapshot_report", false, 0},
   };
   // Closedness against the real protocol: one schema entry per
   // net_message alternative. Adding a message type without extending
   // this table fails the build here; pim_lint and the mutation tests
   // take it from there.
-  static_assert(23 == std::variant_size_v<net::net_message>,
+  static_assert(21 == std::variant_size_v<net::net_message>,
                 "net_message changed: extend canonical_wire_schema()");
   return s;
 }

@@ -15,17 +15,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <limits>
-#include <mutex>
+#include <optional>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/profile.h"
 #include "service/synthetic.h"
 
 namespace pim::net {
@@ -137,10 +136,6 @@ TEST(protocol, round_trips_every_request_type) {
     EXPECT_EQ(m.d.v.rows, req.d.v.rows);
   }
   roundtrip(9, wait_req{});
-  {
-    const auto f = roundtrip(11, hello_req{7});
-    EXPECT_EQ(std::get<hello_req>(f.msg).max_version, 7);
-  }
 }
 
 TEST(protocol, round_trips_every_response_type) {
@@ -187,10 +182,6 @@ TEST(protocol, round_trips_every_response_type) {
   {
     const auto f = roundtrip(27, error_resp{"boom"});
     EXPECT_EQ(std::get<error_resp>(f.msg).message, "boom");
-  }
-  {
-    const auto f = roundtrip(28, hello_resp{wire_version});
-    EXPECT_EQ(std::get<hello_resp>(f.msg).version, wire_version);
   }
 }
 
@@ -373,8 +364,9 @@ TEST(protocol, rejects_bitvector_larger_than_its_frame_before_allocating) {
 }
 
 TEST(protocol, rejects_unknown_opcode) {
-  // 9 and 70 were the retired stats / stats_report pair.
-  for (const std::uint8_t op : {0xee, 9, 70}) {
+  // Retired: 9 and 70 (stats / stats_report), 10 and 72 (hello /
+  // hello_ack), 13 and 75 (watch_stats / stats_push).
+  for (const std::uint8_t op : {0xee, 9, 70, 10, 72, 13, 75}) {
     std::vector<std::uint8_t> wire = encode_frame(3, wait_req{});
     wire[8 + 1 + 8] = op;  // opcode byte after version + id
     frame_splitter splitter;
@@ -460,6 +452,39 @@ int connect_raw(std::uint16_t port) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   return fd;
+}
+
+/// A loopback listener on an ephemeral port, for tests that play the
+/// server by hand.
+struct raw_listener {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::uint16_t port = 0;
+
+  raw_listener() {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(fd, 1), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    port = ntohs(addr.sin_port);
+  }
+  ~raw_listener() { ::close(fd); }
+  raw_listener(const raw_listener&) = delete;
+  raw_listener& operator=(const raw_listener&) = delete;
+};
+
+/// Reads until `splitter` holds one whole frame; nullopt at EOF.
+std::optional<net_frame> read_frame(int fd, frame_splitter& splitter) {
+  std::uint8_t buf[512];
+  for (;;) {
+    if (auto f = splitter.next()) return f;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    splitter.feed(buf, static_cast<std::size_t>(n));
+  }
 }
 
 /// Reads until EOF; returns everything received.
@@ -588,43 +613,16 @@ TEST(pim_server, rejects_requests_for_foreign_sessions) {
   server.stop();
 }
 
-TEST(pim_server, negotiates_protocol_version_on_open) {
-  pim_server server(small_server_config());
-  server.start();
-
-  {
-    // remote_client's hello lands on the current version.
-    remote_client client("127.0.0.1", server.port());
-    EXPECT_EQ(client.allocate(8192, 1).size(), 1u);
-  }
-  {
-    // A client from the future offers more than we speak: the server
-    // answers with its own version.
-    const int fd = connect_raw(server.port());
-    const auto wire = encode_frame(1, hello_req{99});
-    ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
-    std::uint8_t buf[512];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    frame_splitter splitter;
-    splitter.feed(buf, static_cast<std::size_t>(n));
-    const auto frame = splitter.next();
-    ASSERT_TRUE(frame.has_value());
-    ASSERT_TRUE(std::holds_alternative<hello_resp>(frame->msg));
-    EXPECT_EQ(std::get<hello_resp>(frame->msg).version, wire_version);
-    ::close(fd);
-  }
-  server.stop();
-}
-
 TEST(pim_server, rejects_mismatched_major_version_with_error_frame) {
   pim_server server(small_server_config());
   server.start();
 
-  // A hello below the server's version: one clean error frame, then
-  // the connection closes (drain_socket sees EOF after the frame).
+  // A peer one version behind opens a session: its first frame's
+  // version byte is refused with one error frame naming the version,
+  // then the connection closes (drain_socket sees EOF after the frame).
   const int fd = connect_raw(server.port());
-  const auto wire = encode_frame(1, hello_req{wire_version - 1});
+  std::vector<std::uint8_t> wire = encode_frame(1, open_session_req{});
+  wire[8] = wire_version - 1;  // the version byte follows the header
   ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
   const std::vector<std::uint8_t> reply = drain_socket(fd);
   ::close(fd);
@@ -633,9 +631,12 @@ TEST(pim_server, rejects_mismatched_major_version_with_error_frame) {
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
   ASSERT_TRUE(std::holds_alternative<error_resp>(frame->msg));
-  EXPECT_NE(std::get<error_resp>(frame->msg).message.find("version"),
-            std::string::npos);
+  EXPECT_NE(std::get<error_resp>(frame->msg).message.find(
+                "unsupported version " + std::to_string(wire_version - 1)),
+            std::string::npos)
+      << std::get<error_resp>(frame->msg).message;
   EXPECT_FALSE(splitter.next().has_value());
+  EXPECT_EQ(splitter.buffered(), 0u);
 
   // Other connections are unaffected.
   remote_client client("127.0.0.1", server.port());
@@ -791,7 +792,7 @@ TEST(remote_client, wait_barrier_drains_pipeline) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability opcodes: framing, error paths, streaming telemetry
+// Observability opcodes: framing, error paths, snapshots
 // ---------------------------------------------------------------------------
 
 TEST(protocol, round_trips_observability_messages) {
@@ -806,10 +807,8 @@ TEST(protocol, round_trips_observability_messages) {
     EXPECT_EQ(m.path, "/tmp/trace.json");
   }
   {
-    const auto f = roundtrip(32, watch_stats_req{250, 5'000'000});
-    const auto& m = std::get<watch_stats_req>(f.msg);
-    EXPECT_EQ(m.interval_ms, 250u);
-    EXPECT_EQ(m.slow_threshold_ns, 5'000'000);
+    const auto f = roundtrip(32, snapshot_req{5'000'000});
+    EXPECT_EQ(std::get<snapshot_req>(f.msg).slow_threshold_ns, 5'000'000);
   }
   {
     const auto f = roundtrip(33, metrics_resp{"{\"counters\":{}}"});
@@ -820,31 +819,31 @@ TEST(protocol, round_trips_observability_messages) {
     EXPECT_EQ(std::get<trace_ack_resp>(f.msg).events, 12u);
   }
   {
-    stats_push_resp push;
-    push.seq = 3;
-    push.last = 1;
-    push.counters = {{"service.requests_completed", 42}};
-    push.gauges = {{"service.shard.0.queue_depth", -1}};
-    push.hists = {{"service.latency_ns", 10, 1.0, 2.0, 3.0}};
-    const auto f = roundtrip(35, push);
-    const auto& m = std::get<stats_push_resp>(f.msg);
-    EXPECT_EQ(m.seq, 3u);
-    EXPECT_EQ(m.last, 1);
-    ASSERT_EQ(m.counters.size(), 1u);
-    EXPECT_EQ(m.counters[0].first, "service.requests_completed");
-    EXPECT_EQ(m.counters[0].second, 42u);
-    ASSERT_EQ(m.gauges.size(), 1u);
-    EXPECT_EQ(m.gauges[0].second, -1);
-    ASSERT_EQ(m.hists.size(), 1u);
-    EXPECT_EQ(m.hists[0].name, "service.latency_ns");
-    EXPECT_DOUBLE_EQ(m.hists[0].p99, 3.0);
+    snapshot_resp resp;
+    resp.snap.counters["service.requests_completed"] = 42;
+    resp.snap.gauges["service.shard.0.queue_depth"] = -1;
+    // Samples in the lowest, a middle and the top bucket, with weights.
+    geo_histogram h;
+    h.record(0, 2);
+    h.record(1000, 3);
+    h.record(std::uint64_t{1} << 20);
+    h.record(~std::uint64_t{0}, 5);
+    resp.snap.histograms["service.latency_ns"] = h;
+    resp.snap.histograms["idle"] = geo_histogram{};
+    const auto f = roundtrip(35, resp);
+    const auto& m = std::get<snapshot_resp>(f.msg).snap;
+    EXPECT_EQ(m.counters, resp.snap.counters);
+    EXPECT_EQ(m.gauges, resp.snap.gauges);
+    ASSERT_EQ(m.histograms.size(), 2u);
+    EXPECT_TRUE(m.histograms.at("service.latency_ns") == h);
+    EXPECT_TRUE(m.histograms.at("idle") == geo_histogram{});
   }
 }
 
-TEST(protocol, rejects_truncated_watch_stats_body) {
-  // A watch_stats frame whose declared length stops inside the
-  // interval field: the decoder must throw, not read out of bounds.
-  std::vector<std::uint8_t> wire = encode_frame(9, watch_stats_req{1000, -1});
+TEST(protocol, rejects_truncated_snapshot_body) {
+  // A snapshot frame whose declared length stops inside the threshold
+  // field: the decoder must throw, not read out of bounds.
+  std::vector<std::uint8_t> wire = encode_frame(9, snapshot_req{-1});
   const std::uint32_t declared = static_cast<std::uint32_t>(wire.size() - 8);
   const std::uint32_t shorter = declared - 6;
   std::memcpy(wire.data() + 4, &shorter, 4);
@@ -855,7 +854,7 @@ TEST(protocol, rejects_truncated_watch_stats_body) {
   EXPECT_EQ(splitter.last_id(), 9u);
 }
 
-TEST(pim_server, malformed_watch_stats_body_answers_error_and_closes) {
+TEST(pim_server, malformed_snapshot_body_answers_error_and_closes) {
   // The same truncated frame over a real socket: the server must
   // answer with an error frame and close this connection, without
   // disturbing a healthy client on another connection.
@@ -864,7 +863,7 @@ TEST(pim_server, malformed_watch_stats_body_answers_error_and_closes) {
 
   remote_client healthy("127.0.0.1", server.port());
 
-  std::vector<std::uint8_t> wire = encode_frame(5, watch_stats_req{1000, -1});
+  std::vector<std::uint8_t> wire = encode_frame(5, snapshot_req{-1});
   const std::uint32_t declared = static_cast<std::uint32_t>(wire.size() - 8);
   const std::uint32_t shorter = declared - 6;
   std::memcpy(wire.data() + 4, &shorter, 4);
@@ -902,91 +901,92 @@ TEST(remote_client, trace_dump_while_disabled_returns_empty_trace) {
   server.stop();
 }
 
-TEST(remote_client, watch_stats_streams_deltas_and_cancels) {
+TEST(remote_client, snapshot_polls_track_traffic) {
   pim_server server(small_server_config());
   server.start();
   {
     remote_client client("127.0.0.1", server.port());
+    // A threshold of 0 or more arms the server's slow-request log; -1
+    // leaves it alone.
+    obs::slow_request_log& slow = obs::slow_request_log::instance();
+    const std::int64_t prior = slow.threshold_ns();
+    const obs::metrics_snapshot before = client.snapshot(5'000'000);
+    EXPECT_EQ(slow.threshold_ns(), 5'000'000);
+    EXPECT_EQ(before.gauges.count("service.shard.0.queue_depth"), 1u);
 
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<stats_push_resp> pushes;
-    client.watch_stats(20, [&](const stats_push_resp& push) {
-      std::lock_guard<std::mutex> lock(mu);
-      pushes.push_back(push);
-      cv.notify_all();
-    });
-    // Generate server-side activity between pushes so deltas have
-    // something to carry.
+    // The write is counted on the session's shard worker before that
+    // worker completes the submit, so the poll after get() sees it.
     const auto vs = client.allocate(8192, 2);
+    client.write(vs[0], sample_bits(8192, 83));
     client.submit_bulk(dram::bulk_op::not_op, vs[0], nullptr, vs[1]).get();
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                              [&] { return pushes.size() >= 3; }));
-    }
-    client.unwatch_stats();
 
-    std::lock_guard<std::mutex> lock(mu);
-    // Seq 0 is the full snapshot and must already carry the service
-    // aggregates and per-shard gauges the dashboard renders.
-    EXPECT_EQ(pushes.front().seq, 0u);
-    auto has_counter = [](const stats_push_resp& p, const std::string& name) {
-      for (const auto& [n, v] : p.counters) {
-        if (n == name) return true;
-      }
-      return false;
-    };
-    auto has_gauge = [](const stats_push_resp& p, const std::string& name) {
-      for (const auto& [n, v] : p.gauges) {
-        if (n == name) return true;
-      }
-      return false;
-    };
-    EXPECT_TRUE(has_counter(pushes.front(), "service.requests_completed"));
-    EXPECT_TRUE(has_gauge(pushes.front(), "service.shard.0.queue_depth"));
-    // Seq runs contiguously within the watch; the cancel is a watch
-    // replacement, so its final push starts a fresh epoch at seq 0.
-    ASSERT_GE(pushes.size(), 2u);
-    for (std::size_t i = 1; i + 1 < pushes.size(); ++i) {
-      EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
-    }
-    // The orderly cancel delivered a final push flagged `last`, and
-    // nothing after it.
-    EXPECT_EQ(pushes.back().last, 1);
-    EXPECT_EQ(pushes.back().seq, 0u);
+    const obs::metrics_snapshot after = client.snapshot();
+    EXPECT_EQ(slow.threshold_ns(), 5'000'000);
+    slow.set_threshold_ns(prior);
+    EXPECT_GT(after.counters.at("service.requests_completed"),
+              before.counters.at("service.requests_completed"));
+    EXPECT_EQ(after.gauges.count("service.shard.0.queue_depth"), 1u);
+    EXPECT_GE(after.histograms.at("service.latency_ns").count(), 1u);
   }
   server.stop();
 }
 
-TEST(remote_client, watcher_disconnect_mid_stream_leaves_server_healthy) {
-  // A watcher that vanishes without cancelling (process death): the
-  // server's writer must notice the dead socket and reap the
-  // connection, leaving the server fully serviceable.
-  pim_server server(small_server_config());
-  server.start();
+TEST(remote_client, first_frame_opens_the_session) {
+  // A stand-in server: the client's first frame is open_session, with
+  // no handshake before it, and the opened answer is all the
+  // constructor needs. Any other first frame gets a hang-up, which
+  // fails the client.
+  raw_listener listener;
+  std::optional<net_frame> first;
+  std::thread peer([&] {
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    frame_splitter splitter;
+    first = read_frame(fd, splitter);
+    if (first && std::holds_alternative<open_session_req>(first->msg)) {
+      send_all(fd, encode_frame(first->id, opened_resp{77, 1}));
+      drain_socket(fd);  // until the client hangs up
+    }
+    ::close(fd);
+  });
+  EXPECT_NO_THROW({
+    remote_client client("127.0.0.1", listener.port, 2.5);
+    EXPECT_EQ(client.id(), 77u);
+    EXPECT_EQ(client.shard_index(), 1);
+  });
+  peer.join();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(std::holds_alternative<open_session_req>(first->msg));
+  EXPECT_DOUBLE_EQ(std::get<open_session_req>(first->msg).weight, 2.5);
+}
+
+TEST(remote_client, frame_answering_no_request_ends_the_connection) {
+  // A stand-in server that sends one frame answering no request (id 0
+  // is never a request id), then answers everything else. The client
+  // stops reading at that frame, so a later request fails instead of
+  // waiting for an answer nobody reads.
+  raw_listener listener;
+  std::thread peer([&] {
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    frame_splitter splitter;
+    if (auto open = read_frame(fd, splitter)) {
+      std::vector<std::uint8_t> out = encode_frame(open->id, opened_resp{});
+      const std::vector<std::uint8_t> stray = encode_frame(0, waited_resp{});
+      out.insert(out.end(), stray.begin(), stray.end());
+      send_all(fd, out);
+      while (auto next = read_frame(fd, splitter)) {
+        send_all(fd, encode_frame(next->id, waited_resp{}));
+      }
+    }
+    ::close(fd);
+  });
   {
-    remote_client watcher("127.0.0.1", server.port());
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t pushes = 0;
-    watcher.watch_stats(10, [&](const stats_push_resp&) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++pushes;
-      cv.notify_all();
-    });
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                            [&] { return pushes >= 2; }));
-    // Destructor closes the socket with the watch still active.
+    std::optional<remote_client> client;
+    EXPECT_NO_THROW(client.emplace("127.0.0.1", listener.port));
+    if (client) {
+      EXPECT_THROW(client->barrier(), std::runtime_error);
+    }
   }
-  {
-    remote_client client("127.0.0.1", server.port());
-    const auto vs = client.allocate(8192, 2);
-    client.submit_bulk(dram::bulk_op::not_op, vs[0], nullptr, vs[1]).get();
-    EXPECT_NE(client.digest(), 0u);
-  }
-  server.stop();
+  peer.join();
 }
 
 TEST(remote_client, server_side_failure_surfaces_as_future_error) {

@@ -257,6 +257,10 @@ TEST(MetricsTest, OpenMetricsExposesEveryKind) {
   geo_histogram h;
   h.record(1000);
   snap.histograms["service.latency_ns"] = h;
+  // Quantiles print exactly: 2^21 is 2097152, not 2.09715e+06.
+  geo_histogram tail;
+  tail.record(std::uint64_t{1} << 20);
+  snap.histograms["service.tail_ns"] = tail;
 
   const std::string out = openmetrics(snap);
   EXPECT_NE(out.find("# TYPE pim_net_rx_bytes counter\n"), std::string::npos);
@@ -270,6 +274,8 @@ TEST(MetricsTest, OpenMetricsExposesEveryKind) {
   EXPECT_NE(out.find("pim_service_latency_ns{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(out.find("pim_service_latency_ns_count 1\n"), std::string::npos);
+  EXPECT_NE(out.find("pim_service_tail_ns{quantile=\"0.99\"} 2097152\n"),
+            std::string::npos);
   EXPECT_EQ(out.rfind("# EOF\n"), out.size() - 6);
 }
 

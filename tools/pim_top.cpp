@@ -1,11 +1,10 @@
 // pim_top: terminal dashboard over a live pim_serverd.
 //
-// Subscribes to the server's streaming telemetry (the `watch_stats`
-// wire op) and folds the delta pushes into a cumulative view: per-
-// shard queue depth / inflight tasks / busy-bank utilization, service
-// latency percentiles, top sessions by request count, and the wire's
-// own byte counters. The default mode redraws an ANSI dashboard at
-// the push interval; `once=1` prints a single machine-readable
+// Polls the server's metrics snapshot (the `snapshot` wire op) every
+// `interval` ms: per-shard queue depth / inflight tasks / busy-bank
+// utilization, service latency percentiles, top sessions by request
+// count, and the wire's own byte counters. The default mode redraws an
+// ANSI dashboard per poll; `once=1` prints a single machine-readable
 // snapshot and exits (the CI smoke mode); `format=openmetrics` emits
 // the snapshot as Prometheus/OpenMetrics text exposition instead
 // (point a file_sd scraper at `pim_top once=1 format=openmetrics`).
@@ -21,17 +20,17 @@
 // Keys: host, port (1-65535), interval (ms, 1-3600000), count (0 =
 //       until SIGINT), once, format (plain|openmetrics),
 //       slow_threshold_ns (-1 = leave). A malformed or out-of-range
-//       argument exits 2.
+//       argument exits 2; a lost or refused connection exits 1.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <iostream>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "common/config.h"
 #include "net/client.h"
@@ -44,118 +43,91 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-/// The folded cumulative view of the delta stream.
-struct stats_view {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, pim::net::stats_push_resp::hist_entry> hists;
+/// The value under `name`, zero when the snapshot lacks it.
+template <typename Map>
+typename Map::mapped_type value_of(const Map& map, const std::string& name) {
+  auto it = map.find(name);
+  return it == map.end() ? typename Map::mapped_type{} : it->second;
+}
 
-  void fold(const pim::net::stats_push_resp& push) {
-    for (const auto& [name, v] : push.counters) counters[name] = v;
-    for (const auto& [name, v] : push.gauges) gauges[name] = v;
-    for (const auto& h : push.hists) hists[h.name] = h;
-  }
-
-  std::uint64_t counter(const std::string& name) const {
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-  }
-  std::int64_t gauge(const std::string& name) const {
-    auto it = gauges.find(name);
-    return it == gauges.end() ? 0 : it->second;
-  }
-};
+/// A quantile as obs::openmetrics prints it: exact, not rounded to six
+/// significant digits.
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 /// `key value` lines, one metric per line — the machine-readable
 /// `once=1` output CI greps.
-std::string render_plain(const stats_view& view) {
+std::string render_plain(const pim::obs::metrics_snapshot& snap) {
   std::ostringstream out;
-  for (const auto& [name, v] : view.counters) out << name << " " << v << "\n";
-  for (const auto& [name, v] : view.gauges) out << name << " " << v << "\n";
-  for (const auto& [name, h] : view.hists) {
-    out << name << ".count " << h.count << "\n";
-    out << name << ".p50 " << h.p50 << "\n";
-    out << name << ".p95 " << h.p95 << "\n";
-    out << name << ".p99 " << h.p99 << "\n";
+  for (const auto& [name, v] : snap.counters) out << name << " " << v << "\n";
+  for (const auto& [name, v] : snap.gauges) out << name << " " << v << "\n";
+  for (const auto& [name, h] : snap.histograms) {
+    out << name << ".count " << h.count() << "\n";
+    out << name << ".p50 " << exact(h.percentile(0.50)) << "\n";
+    out << name << ".p95 " << exact(h.percentile(0.95)) << "\n";
+    out << name << ".p99 " << exact(h.percentile(0.99)) << "\n";
   }
   return out.str();
 }
 
-/// Prometheus/OpenMetrics text exposition of the folded view — the
-/// same dialect obs::openmetrics emits for an in-process registry
-/// snapshot, rebuilt here from the wire's percentile summaries.
-std::string render_openmetrics(const stats_view& view) {
-  std::ostringstream out;
-  const std::string prefix = "pim";
-  for (const auto& [name, v] : view.counters) {
-    const std::string metric = prefix + "_" + pim::obs::sanitize_metric_name(name);
-    out << "# TYPE " << metric << " counter\n";
-    out << metric << "_total " << v << "\n";
-  }
-  for (const auto& [name, v] : view.gauges) {
-    const std::string metric = prefix + "_" + pim::obs::sanitize_metric_name(name);
-    out << "# TYPE " << metric << " gauge\n";
-    out << metric << " " << v << "\n";
-  }
-  for (const auto& [name, h] : view.hists) {
-    const std::string metric = prefix + "_" + pim::obs::sanitize_metric_name(name);
-    out << "# TYPE " << metric << " summary\n";
-    out << metric << "_count " << h.count << "\n";
-    out << metric << "{quantile=\"0.5\"} " << h.p50 << "\n";
-    out << metric << "{quantile=\"0.95\"} " << h.p95 << "\n";
-    out << metric << "{quantile=\"0.99\"} " << h.p99 << "\n";
-  }
-  out << "# EOF\n";
-  return out.str();
-}
-
-std::string render_dashboard(const stats_view& view, std::uint64_t seq) {
+std::string render_dashboard(const pim::obs::metrics_snapshot& snap,
+                             std::uint64_t poll) {
+  const auto counter = [&snap](const std::string& name) {
+    return value_of(snap.counters, name);
+  };
+  const auto gauge = [&snap](const std::string& name) {
+    return value_of(snap.gauges, name);
+  };
   std::ostringstream out;
   out << "\x1b[2J\x1b[H";  // clear + home
-  out << "pim_top  push #" << seq << "\n\n";
+  out << "pim_top  poll #" << poll << "\n\n";
 
-  out << "service: sessions=" << view.gauge("service.sessions")
-      << " completed=" << view.counter("service.requests_completed")
-      << " failed=" << view.counter("service.requests_failed")
-      << " output=" << view.counter("service.output_bytes") << "B"
-      << " ticks=" << view.counter("service.total_ticks")
-      << " energy=" << view.counter("service.energy_pj") << "pJ\n";
+  out << "service: sessions=" << gauge("service.sessions")
+      << " completed=" << counter("service.requests_completed")
+      << " failed=" << counter("service.requests_failed")
+      << " output=" << counter("service.output_bytes") << "B"
+      << " ticks=" << counter("service.total_ticks")
+      << " energy=" << counter("service.energy_pj") << "pJ\n";
   // The moved: and waits: lines list the service meters of each kind.
-  const auto counter = [&view](const pim::service::sched_meter& m) {
-    return view.counter(std::string("service.") + m.name);
+  const auto meter = [&counter](const pim::service::sched_meter& m) {
+    return counter(std::string("service.") + m.name);
   };
   out << "moved:";
   for (const auto& m : pim::service::sched_meters) {
     if (m.kind == pim::service::meter_kind::moved) {
-      out << " " << m.label << "=" << counter(m) << "B";
+      out << " " << m.label << "=" << meter(m) << "B";
     }
   }
   out << "\n";
-  auto lat = view.hists.find("service.latency_ns");
-  if (lat != view.hists.end()) {
-    out << "latency: count=" << lat->second.count
-        << " p50=" << lat->second.p50 / 1e6 << "ms"
-        << " p95=" << lat->second.p95 / 1e6 << "ms"
-        << " p99=" << lat->second.p99 / 1e6 << "ms\n";
+  auto lat = snap.histograms.find("service.latency_ns");
+  if (lat != snap.histograms.end()) {
+    const pim::geo_histogram& h = lat->second;
+    out << "latency: count=" << h.count()
+        << " p50=" << h.percentile(0.50) / 1e6 << "ms"
+        << " p95=" << h.percentile(0.95) / 1e6 << "ms"
+        << " p99=" << h.percentile(0.99) / 1e6 << "ms\n";
   }
-  out << "net: server rx=" << view.counter("net.server.rx_bytes")
-      << "B tx=" << view.counter("net.server.tx_bytes")
-      << "B frames=" << view.counter("net.server.rx_frames") << "\n";
+  out << "net: server rx=" << counter("net.server.rx_bytes")
+      << "B tx=" << counter("net.server.tx_bytes")
+      << "B frames=" << counter("net.server.rx_frames") << "\n";
   out << "slow requests observed: "
-      << view.counter("service.slow_requests_observed") << "\n";
+      << counter("service.slow_requests_observed") << "\n";
 
   // Wait-state attribution: the wait meters partition aggregate task
   // lifetime exactly, so their sum is the lifetime and the shares
   // below always total 100%.
   std::uint64_t lifetime = 0;
   for (const auto& m : pim::service::sched_meters) {
-    if (m.kind == pim::service::meter_kind::wait) lifetime += counter(m);
+    if (m.kind == pim::service::meter_kind::wait) lifetime += meter(m);
   }
   out << "waits:";
   if (lifetime == 0) out << " (no completed tasks yet)";
   for (const auto& m : pim::service::sched_meters) {
     if (lifetime == 0 || m.kind != pim::service::meter_kind::wait) continue;
-    const std::uint64_t v = counter(m);
+    const std::uint64_t v = meter(m);
     out << " " << m.label << "=" << v << "ps(" << (v * 100 / lifetime)
         << "%)";
   }
@@ -164,21 +136,21 @@ std::string render_dashboard(const stats_view& view, std::uint64_t seq) {
   out << "shard  queue  inflight  sessions  busy-banks  energy-pJ\n";
   for (int s = 0;; ++s) {
     const std::string prefix = "service.shard." + std::to_string(s) + ".";
-    if (view.gauges.find(prefix + "queue_depth") == view.gauges.end()) break;
-    out << "  " << s << "     " << view.gauge(prefix + "queue_depth")
-        << "      " << view.gauge(prefix + "inflight_tasks") << "         "
-        << view.gauge(prefix + "sessions") << "         "
-        << view.gauge(prefix + "busy_banks_x1000") / 1000.0 << "       "
-        << view.gauge(prefix + "energy_pj") << "\n";
+    if (snap.gauges.count(prefix + "queue_depth") == 0) break;
+    out << "  " << s << "     " << gauge(prefix + "queue_depth")
+        << "      " << gauge(prefix + "inflight_tasks") << "         "
+        << gauge(prefix + "sessions") << "         "
+        << gauge(prefix + "busy_banks_x1000") / 1000.0 << "       "
+        << gauge(prefix + "energy_pj") << "\n";
   }
 
   out << "\ntop sessions (by requests):\n";
   for (int k = 0; k < 5; ++k) {
     const std::string slot = "service.top." + std::to_string(k);
-    if (view.gauges.find(slot + ".session") == view.gauges.end()) break;
-    out << "  session " << view.gauge(slot + ".session") << ": "
-        << view.gauge(slot + ".requests") << " requests, p99 "
-        << view.gauge(slot + ".p99_ns") / 1e6 << "ms\n";
+    if (snap.gauges.count(slot + ".session") == 0) break;
+    out << "  session " << gauge(slot + ".session") << ": "
+        << gauge(slot + ".requests") << " requests, p99 "
+        << gauge(slot + ".p99_ns") / 1e6 << "ms\n";
   }
   return out.str();
 }
@@ -220,47 +192,33 @@ int main(int argc, char** argv) {
 
   try {
     net::remote_client client(host, port);
-
-    std::mutex mu;
-    std::condition_variable cv;
-    stats_view view;
-    std::uint64_t pushes = 0;
-
-    client.watch_stats(
-        // once=1 needs exactly the seq-0 full snapshot; a long
-        // interval keeps the server from racing a second push in.
-        once ? 60'000 : interval,
-        [&](const net::stats_push_resp& push) {
-          std::lock_guard<std::mutex> lock(mu);
-          view.fold(push);
-          ++pushes;
-          cv.notify_all();
-        },
-        slow_threshold_ns);
-
-    std::unique_lock<std::mutex> lock(mu);
-    std::uint64_t rendered = 0;
-    for (;;) {
-      cv.wait_for(lock, std::chrono::milliseconds(200),
-                  [&] { return pushes > rendered; });
-      if (pushes > rendered) {
-        rendered = pushes;
-        if (once) {
-          std::cout << (openmetrics ? render_openmetrics(view)
-                                    : render_plain(view));
-          break;
-        }
-        if (openmetrics) {
-          std::cout << render_openmetrics(view) << "\n";
-        } else {
-          std::cout << render_dashboard(view, rendered) << std::flush;
-        }
-        if (count > 0 && rendered >= static_cast<std::uint64_t>(count)) break;
+    for (std::uint64_t polls = 1;; ++polls) {
+      // The first poll arms the slow-request log; later ones leave it
+      // as they find it.
+      const obs::metrics_snapshot snap =
+          client.snapshot(polls == 1 ? slow_threshold_ns : -1);
+      if (once) {
+        std::cout << (openmetrics ? obs::openmetrics(snap)
+                                  : render_plain(snap));
+        break;
+      }
+      if (openmetrics) {
+        std::cout << obs::openmetrics(snap) << "\n";
+      } else {
+        std::cout << render_dashboard(snap, polls) << std::flush;
+      }
+      if (count > 0 && polls >= static_cast<std::uint64_t>(count)) break;
+      // Sleep out the interval in short steps, so SIGINT ends the
+      // wait promptly.
+      using clock = std::chrono::steady_clock;
+      const clock::time_point next =
+          clock::now() + std::chrono::milliseconds(interval);
+      while (!g_stop.load() && clock::now() < next) {
+        std::this_thread::sleep_for(std::min<clock::duration>(
+            next - clock::now(), std::chrono::milliseconds(50)));
       }
       if (g_stop.load()) break;
     }
-    lock.unlock();
-    client.unwatch_stats();
   } catch (const std::exception& e) {
     std::cerr << "pim_top: " << e.what() << "\n";
     return 1;

@@ -13,8 +13,11 @@
 // it locally (out= defaults to stdout), so the trace lands next to the
 // operator, not in the server's working directory. `metrics` fetches
 // the server process's metrics-registry snapshot plus service stats.
+// A malformed argument or an unknown cmd exits 2 before connecting; a
+// failed connection or request exits 1.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/config.h"
 #include "net/client.h"
@@ -44,16 +47,22 @@ int main(int argc, char** argv) {
 
   config cfg;
   std::uint16_t port = 0;
+  std::string cmd;
   try {
     cfg = config::from_args({argv + 1, argv + argc});
     port = static_cast<std::uint16_t>(cfg.get_int("port", 7321, 1, 65535));
+    cmd = cfg.get_string("cmd", "dump");
+    if (cmd != "enable" && cmd != "disable" && cmd != "dump" &&
+        cmd != "clear" && cmd != "metrics") {
+      throw std::invalid_argument("unknown cmd '" + cmd +
+                                  "' (enable|disable|dump|clear|metrics)");
+    }
   } catch (const std::exception& e) {
     std::cerr << "trace_dump: " << e.what() << "\n";
     return 2;
   }
 
   const std::string host = cfg.get_string("host", "127.0.0.1");
-  const std::string cmd = cfg.get_string("cmd", "dump");
   const std::string out = cfg.get_string("out", "");
 
   try {
@@ -73,12 +82,8 @@ int main(int argc, char** argv) {
       const std::uint64_t events = client.trace_dump("", &json);
       std::cerr << "trace_dump: " << events << " events\n";
       return write_out(out, json);
-    } else if (cmd == "metrics") {
+    } else {  // metrics
       return write_out(out, client.metrics_json());
-    } else {
-      std::cerr << "trace_dump: unknown cmd '" << cmd
-                << "' (enable|disable|dump|clear|metrics)\n";
-      return 2;
     }
   } catch (const std::exception& e) {
     std::cerr << "trace_dump: " << e.what() << "\n";
