@@ -7,6 +7,7 @@
 #define PIM_COMMON_BITVECTOR_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,20 @@ class bitvector {
   /// past its vector's end. `src` must be a different vector.
   void copy_bits(std::size_t dst_pos, const bitvector& src,
                  std::size_t src_pos, std::size_t count);
+
+  /// Sets word w to f(a's word w, b's word w) for every w, reading
+  /// both before writing, so `a` or `b` may be this vector. Sizes must
+  /// match.
+  template <typename F>
+  void assign_words(const bitvector& a, const bitvector& b, F f) {
+    if (a.size_ != size_ || b.size_ != size_) {
+      throw std::invalid_argument("bitvector::assign_words: size mismatch");
+    }
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      words_[w] = f(a.words_[w], b.words_[w]);
+    }
+    clear_padding();
+  }
 
   // In-place Boolean algebra. Operand sizes must match.
   bitvector& operator&=(const bitvector& other);

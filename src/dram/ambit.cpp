@@ -333,6 +333,34 @@ bitvector ambit_engine::apply(bulk_op op, const bitvector& a,
   throw std::logic_error("unknown bulk op");
 }
 
+namespace {
+
+/// d = op(a, b) (b unread for NOT), written word by word straight into
+/// `d`, which may be `a` or `b`.
+void compute_row(bulk_op op, const bitvector& a, const bitvector& b,
+                 bitvector& d) {
+  using word = bitvector::word;
+  switch (op) {
+    case bulk_op::not_op:
+      return d.assign_words(a, b, [](word x, word) { return ~x; });
+    case bulk_op::and_op:
+      return d.assign_words(a, b, [](word x, word y) { return x & y; });
+    case bulk_op::or_op:
+      return d.assign_words(a, b, [](word x, word y) { return x | y; });
+    case bulk_op::nand_op:
+      return d.assign_words(a, b, [](word x, word y) { return ~(x & y); });
+    case bulk_op::nor_op:
+      return d.assign_words(a, b, [](word x, word y) { return ~(x | y); });
+    case bulk_op::xor_op:
+      return d.assign_words(a, b, [](word x, word y) { return x ^ y; });
+    case bulk_op::xnor_op:
+      return d.assign_words(a, b, [](word x, word y) { return ~(x ^ y); });
+  }
+  throw std::logic_error("unknown bulk op");
+}
+
+}  // namespace
+
 void ambit_engine::validate(bulk_op op, const bulk_vector& a,
                             const bulk_vector* b,
                             const bulk_vector& d) const {
@@ -347,7 +375,13 @@ void ambit_engine::execute(bulk_op op, const bulk_vector& a,
                            std::function<void()> done) {
   validate(op, a, b, d);
 
-  auto remaining = std::make_shared<std::size_t>(a.rows.size());
+  // One countdown per task: the row that finishes last calls `done`.
+  struct rows_left {
+    std::size_t count;
+    std::function<void()> done;
+  };
+  const auto left =
+      std::make_shared<rows_left>(rows_left{a.rows.size(), std::move(done)});
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     const address& ra = a.rows[i];
     const address rb = b != nullptr ? b->rows[i] : ra;
@@ -357,6 +391,7 @@ void ambit_engine::execute(bulk_op op, const bulk_vector& a,
         compiler_.compile(op, subarray, ra.row, rb.row, rd.row);
 
     bulk_sequence seq;
+    seq.commands.reserve(3 * steps.size());
     for (const ambit_step& s : steps) {
       address first = ra;
       first.row = s.src_row;
@@ -369,12 +404,12 @@ void ambit_engine::execute(bulk_op op, const bulk_vector& a,
           {command_kind::copy_activate, second, /*bulk=*/true});
       seq.commands.push_back({command_kind::precharge, second, /*bulk=*/true});
     }
-    seq.on_complete = [this, op, ra, rb, rd, remaining,
-                       done](picoseconds) {
-      // Operands are read in place: apply() runs before mem_.row(rd)
-      // can insert a row, and rd may alias ra or rb.
-      mem_.row(rd) = apply(op, mem_.row_or_zero(ra), mem_.row_or_zero(rb));
-      if (--*remaining == 0 && done) done();
+    seq.on_complete = [this, op, ra, rb, rd, left](picoseconds) {
+      // rd may alias ra or rb: compute_row reads each word before it
+      // writes it.
+      bitvector& out = mem_.row(rd);
+      compute_row(op, mem_.row_or_zero(ra), mem_.row_or_zero(rb), out);
+      if (--left->count == 0 && left->done) left->done();
     };
     mem_.enqueue_bulk(ra.channel, std::move(seq));
   }

@@ -133,7 +133,8 @@ class ambit_engine {
 
   const ambit_compiler& compiler() const { return compiler_; }
 
-  /// Functional semantics of an op (what a host fallback computes).
+  /// Functional semantics of an op (what a host fallback computes):
+  /// the reference for the rows execute() computes in place.
   static bitvector apply(bulk_op op, const bitvector& a, const bitvector& b);
 
  private:

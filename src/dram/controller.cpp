@@ -1,6 +1,7 @@
 #include "dram/controller.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace pim::dram {
@@ -28,7 +29,7 @@ controller::controller(const organization& org, const timing_params& timing,
       timing_(timing),
       checker_(org, timing, bulk_power_exempt),
       locked_(static_cast<std::size_t>(org.ranks) * org.banks, 0),
-      refresh_pending_(static_cast<std::size_t>(org.ranks), false),
+      refresh_pending_(static_cast<std::size_t>(org.ranks), 0),
       next_refresh_(timing.trefi) {
   static_assert(std::size(kCounterNames) ==
                 static_cast<std::size_t>(counter::count_));
@@ -38,6 +39,7 @@ bool controller::enqueue(request req, const address& at) {
   if (queue_.size() >= queue_capacity) return false;
   queue_.push_back({std::move(req), at});
   count(counter::requests);
+  plan_.reset();
   return true;
 }
 
@@ -56,6 +58,7 @@ void controller::enqueue_bulk(bulk_sequence seq) {
   pb.seq = std::move(seq);
   bulk_queue_.push_back(std::move(pb));
   count(counter::bulk_sequences);
+  plan_.reset();
 }
 
 counter_set controller::counters() const {
@@ -172,7 +175,9 @@ void controller::for_each_candidate(Self& self, Visit visit) {
   }
 }
 
-void controller::issue(const command& cmd) {
+void controller::issue(const command& cmd, source from,
+                       std::deque<bulk_state>::iterator pb,
+                       std::deque<pending_request>::iterator pr) {
   checker_.issue(cmd, cycle_);
   switch (cmd.kind) {
     case command_kind::activate:
@@ -195,6 +200,40 @@ void controller::issue(const command& cmd) {
       break;
     case command_kind::refresh:
       count(counter::ref);
+      break;
+  }
+  switch (from) {
+    case source::refresh_pre:
+      count(counter::refresh_pre);
+      break;
+    case source::refresh:
+      refresh_pending_[static_cast<std::size_t>(cmd.addr.rank)] = 0;
+      break;
+    case source::bulk_pre:
+      break;
+    case source::bulk:
+      if (!pb->started) {
+        pb->started = true;
+        set_locked(*pb, true);
+      }
+      if (++pb->next == pb->seq.commands.size()) {
+        complete(cmd, std::move(pb->seq.on_complete));
+        set_locked(*pb, false);
+        bulk_queue_.erase(pb);
+      }
+      break;
+    case source::request:
+      // Classify the request by the first command issued for it.
+      if (!pr->classified) {
+        pr->classified = true;
+        count(is_column(cmd.kind)                   ? counter::row_hits
+              : cmd.kind == command_kind::activate ? counter::row_misses
+                                                   : counter::row_conflicts);
+      }
+      if (is_column(cmd.kind)) {
+        complete(cmd, std::move(pr->req.on_complete));
+        queue_.erase(pr);
+      }
       break;
   }
 }
@@ -224,62 +263,65 @@ void controller::tick() {
   ++cycle_;
   if (cycle_ >= next_refresh_) {
     next_refresh_ += timing_.trefi;
-    std::fill(refresh_pending_.begin(), refresh_pending_.end(), true);
+    std::fill(refresh_pending_.begin(), refresh_pending_.end(), 1);
+    plan_.reset();
   }
   // One command per cycle on the command bus.
-  for_each_candidate(*this, [this](const command& cmd, source from, auto pb,
-                                   auto pr) {
-    if (checker_.earliest(cmd) > cycle_) return false;
-    issue(cmd);
-    switch (from) {
-      case source::refresh_pre:
-        count(counter::refresh_pre);
-        break;
-      case source::refresh:
-        refresh_pending_[static_cast<std::size_t>(cmd.addr.rank)] = false;
-        break;
-      case source::bulk_pre:
-        break;
-      case source::bulk:
-        if (!pb->started) {
-          pb->started = true;
-          set_locked(*pb, true);
-        }
-        if (++pb->next == pb->seq.commands.size()) {
-          complete(cmd, std::move(pb->seq.on_complete));
-          set_locked(*pb, false);
-          bulk_queue_.erase(pb);
-        }
-        break;
-      case source::request:
-        // Classify the request by the first command issued for it.
-        if (!pr->classified) {
-          pr->classified = true;
-          count(is_column(cmd.kind)                   ? counter::row_hits
-                : cmd.kind == command_kind::activate ? counter::row_misses
-                                                     : counter::row_conflicts);
-        }
-        if (is_column(cmd.kind)) {
-          complete(cmd, std::move(pr->req.on_complete));
-          queue_.erase(pr);
-        }
-        break;
+  if (plan_ && cycle_ <= plan_->at) {
+    // next_event_cycle() already chose this cycle's command, and
+    // nothing issues before it.
+    if (cycle_ == plan_->at) {
+      const planned_issue p = *plan_;
+      plan_.reset();
+      if (p.issues) {
+        const auto entry = static_cast<std::ptrdiff_t>(p.entry);
+        issue(p.cmd, p.from,
+              p.from == source::bulk ? bulk_queue_.begin() + entry
+                                     : bulk_queue_.end(),
+              p.from == source::request ? queue_.begin() + entry
+                                        : queue_.end());
+      }
     }
-    return true;
-  });
+  } else {
+    plan_.reset();
+    for_each_candidate(*this, [this](const command& cmd, source from,
+                                     auto pb, auto pr) {
+      if (checker_.earliest(cmd) > cycle_) return false;
+      issue(cmd, from, pb, pr);
+      return true;
+    });
+  }
   finish_completions();
 }
 
 cycles controller::next_event_cycle() const {
+  if (plan_ && plan_->at > cycle_) return plan_->at;
   // Each candidate's earliest cycle holds until some command issues, a
-  // completion lands or the refresh deadline passes.
-  cycles next = next_refresh_;
-  for_each_candidate(*this, [&](const command& cmd, source, auto, auto) {
-    next = std::min(next, checker_.earliest(cmd));
-    return false;
+  // completion lands or the refresh deadline passes. The walk keeps
+  // the first candidate with the least earliest cycle, and stops at
+  // the first one ready at now + 1: tick() issues that one next.
+  const cycles soon = cycle_ + 1;
+  cycles first = std::numeric_limits<cycles>::max();
+  planned_issue p;
+  for_each_candidate(*this, [&](const command& cmd, source from, auto pb,
+                                auto pr) {
+    const cycles at = checker_.earliest(cmd);
+    if (at >= first) return false;
+    first = at;
+    p.cmd = cmd;
+    p.from = from;
+    p.entry = static_cast<std::size_t>(
+        from == source::bulk      ? pb - bulk_queue_.begin()
+        : from == source::request ? pr - queue_.begin()
+                                  : 0);
+    return at <= soon;
   });
+  cycles next = std::min(next_refresh_, first);
   for (const completion& c : completions_) next = std::min(next, c.done);
-  return std::max(next, cycle_ + 1);
+  p.at = std::max(next, soon);
+  p.issues = first <= p.at;
+  plan_ = p;
+  return p.at;
 }
 
 void controller::jump_to(cycles cycle) {

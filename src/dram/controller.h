@@ -39,6 +39,13 @@ class controller {
   /// Earliest cycle (> now) at which tick() could change any state: the
   /// refresh deadline, the earliest issue cycle of any candidate, or a
   /// completion. Every tick before it only advances the clock.
+  ///
+  /// It also records the command tick() issues at that cycle: the
+  /// first candidate ready at now + 1 if there is one, else the first
+  /// with the least earliest cycle. tick() then issues it without
+  /// walking the candidates, and ticks before that cycle issue nothing;
+  /// a repeated call returns the recorded cycle. enqueue, enqueue_bulk,
+  /// an issued command and the refresh deadline drop the record.
   cycles next_event_cycle() const;
 
   /// Moves the clock to `cycle` without ticking the cycles passed over;
@@ -88,6 +95,17 @@ class controller {
   /// What a candidate command advances when it issues.
   enum class source { refresh_pre, refresh, bulk_pre, bulk, request };
 
+  /// next_event_cycle()'s record: tick() changes nothing before `at`
+  /// and, when `issues`, issues `cmd` at `at`. `entry` indexes the
+  /// bulk_queue_ or queue_ entry a bulk or request command advances.
+  struct planned_issue {
+    cycles at = 0;
+    bool issues = false;
+    command cmd;
+    source from = source::request;
+    std::size_t entry = 0;
+  };
+
   /// Calls visit(cmd, source, bulk, request) for every command tick()
   /// could issue, in tick()'s priority order, until visit returns true:
   ///   - for each rank awaiting refresh, PREs for its open banks that no
@@ -122,8 +140,11 @@ class controller {
   /// while a bulk sequence holds its bank or its rank awaits refresh.
   std::optional<command> next_command(const pending_request& pr) const;
 
-  /// Places the command on the bus and counts it.
-  void issue(const command& cmd);
+  /// Places `cmd` on the bus this cycle, counts it and advances what it
+  /// came from; `pb` and `pr` as for_each_candidate passes them.
+  void issue(const command& cmd, source from,
+             std::deque<bulk_state>::iterator pb,
+             std::deque<pending_request>::iterator pr);
 
   /// Schedules `callback` for when `cmd`, issued this cycle, finishes:
   /// column commands after their data burst, row commands at issue.
@@ -143,8 +164,11 @@ class controller {
   std::size_t locked_count_ = 0;
 
   // Refresh state: one pending flag per rank.
-  std::vector<bool> refresh_pending_;
+  std::vector<std::uint8_t> refresh_pending_;
   cycles next_refresh_ = 0;
+
+  // next_event_cycle()'s record, if it still holds.
+  mutable std::optional<planned_issue> plan_;
 
   std::vector<completion> completions_;
 

@@ -27,84 +27,6 @@ timing_checker::timing_checker(const organization& org,
       banks_(static_cast<std::size_t>(org.ranks) * org.banks),
       ranks_(static_cast<std::size_t>(org.ranks)) {}
 
-timing_checker::bank_state& timing_checker::bank(const command& cmd) {
-  return banks_[static_cast<std::size_t>(cmd.addr.rank) * org_.banks +
-                cmd.addr.bank];
-}
-
-const timing_checker::bank_state& timing_checker::bank(
-    const command& cmd) const {
-  return banks_[static_cast<std::size_t>(cmd.addr.rank) * org_.banks +
-                cmd.addr.bank];
-}
-
-timing_checker::rank_state& timing_checker::rank(const command& cmd) {
-  return ranks_[static_cast<std::size_t>(cmd.addr.rank)];
-}
-
-const timing_checker::rank_state& timing_checker::rank(
-    const command& cmd) const {
-  return ranks_[static_cast<std::size_t>(cmd.addr.rank)];
-}
-
-bool timing_checker::power_constrained(const command& cmd) const {
-  return !(cmd.bulk && bulk_power_exempt_);
-}
-
-bank_status timing_checker::status(int rank_id, int bank_id) const {
-  return banks_[static_cast<std::size_t>(rank_id) * org_.banks + bank_id]
-      .status;
-}
-
-int timing_checker::open_row(int rank_id, int bank_id) const {
-  return banks_[static_cast<std::size_t>(rank_id) * org_.banks + bank_id].row;
-}
-
-cycles timing_checker::earliest(const command& cmd) const {
-  const bank_state& b = bank(cmd);
-  const rank_state& r = rank(cmd);
-  cycles t = r.next_refresh_done;
-  switch (cmd.kind) {
-    case command_kind::activate:
-    case command_kind::triple_activate: {
-      t = std::max(t, b.next_activate);
-      if (power_constrained(cmd)) {
-        t = std::max(t, r.next_activate);
-        if (r.act_window.size() >= 4) {
-          t = std::max(t, r.act_window.front() + timing_.tfaw);
-        }
-      }
-      return t;
-    }
-    case command_kind::copy_activate:
-      return std::max(t, b.next_copy_activate);
-    case command_kind::precharge:
-      return std::max(t, b.next_precharge);
-    case command_kind::read: {
-      t = std::max({t, b.next_column, r.next_read, next_column_});
-      // Ensure the data burst finds the bus free.
-      t = std::max(t, bus_free_ - timing_.tcl);
-      return t;
-    }
-    case command_kind::write: {
-      t = std::max({t, b.next_column, next_column_});
-      t = std::max(t, bus_free_ - timing_.tcwl);
-      return t;
-    }
-    case command_kind::refresh: {
-      // All banks of the rank must be precharged; model as: issue no
-      // earlier than every bank's precharge has taken effect.
-      for (int bk = 0; bk < org_.banks; ++bk) {
-        const bank_state& each =
-            banks_[static_cast<std::size_t>(cmd.addr.rank) * org_.banks + bk];
-        t = std::max(t, each.next_activate);
-      }
-      return t;
-    }
-  }
-  throw std::logic_error("unknown command kind");
-}
-
 void timing_checker::issue(const command& cmd, cycles now) {
   if (now < earliest(cmd)) {
     throw std::logic_error("timing violation issuing " + to_string(cmd.kind) +
@@ -173,8 +95,7 @@ void timing_checker::issue(const command& cmd, cycles now) {
     }
     case command_kind::refresh: {
       for (int bk = 0; bk < org_.banks; ++bk) {
-        bank_state& each =
-            banks_[static_cast<std::size_t>(cmd.addr.rank) * org_.banks + bk];
+        bank_state& each = banks_[flat(cmd.addr.rank, bk)];
         if (each.status != bank_status::precharged) {
           throw std::logic_error("REF with open bank");
         }

@@ -9,7 +9,9 @@
 #ifndef PIM_DRAM_TIMING_CHECKER_H
 #define PIM_DRAM_TIMING_CHECKER_H
 
+#include <algorithm>
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "common/types.h"
@@ -38,10 +40,14 @@ class timing_checker {
   /// scheduler's correctness testable.
   void issue(const command& cmd, cycles now);
 
-  bank_status status(int rank, int bank) const;
+  bank_status status(int rank, int bank) const {
+    return banks_[flat(rank, bank)].status;
+  }
   /// Open row of an active bank; -1 when precharged. A bank opened by
   /// triple_activate reports the TRA row address given in the command.
-  int open_row(int rank, int bank) const;
+  int open_row(int rank, int bank) const {
+    return banks_[flat(rank, bank)].row;
+  }
 
   /// Cycle at which read data for a read issued at `issue_cycle`
   /// finishes on the bus.
@@ -71,11 +77,24 @@ class timing_checker {
     std::deque<cycles> act_window;  // for tFAW
   };
 
-  bank_state& bank(const command& cmd);
-  const bank_state& bank(const command& cmd) const;
-  rank_state& rank(const command& cmd);
-  const rank_state& rank(const command& cmd) const;
-  bool power_constrained(const command& cmd) const;
+  std::size_t flat(int rank, int bank) const {
+    return static_cast<std::size_t>(rank) * org_.banks + bank;
+  }
+  bank_state& bank(const command& cmd) {
+    return banks_[flat(cmd.addr.rank, cmd.addr.bank)];
+  }
+  const bank_state& bank(const command& cmd) const {
+    return banks_[flat(cmd.addr.rank, cmd.addr.bank)];
+  }
+  rank_state& rank(const command& cmd) {
+    return ranks_[static_cast<std::size_t>(cmd.addr.rank)];
+  }
+  const rank_state& rank(const command& cmd) const {
+    return ranks_[static_cast<std::size_t>(cmd.addr.rank)];
+  }
+  bool power_constrained(const command& cmd) const {
+    return !(cmd.bulk && bulk_power_exempt_);
+  }
 
   organization org_;
   timing_params timing_;
@@ -85,6 +104,50 @@ class timing_checker {
   cycles bus_free_ = 0;      // data bus availability (cycle data may start)
   cycles next_column_ = 0;   // channel-wide tCCD
 };
+
+// Inline: the controller asks it for every candidate it weighs.
+inline cycles timing_checker::earliest(const command& cmd) const {
+  const bank_state& b = bank(cmd);
+  const rank_state& r = rank(cmd);
+  cycles t = r.next_refresh_done;
+  switch (cmd.kind) {
+    case command_kind::activate:
+    case command_kind::triple_activate: {
+      t = std::max(t, b.next_activate);
+      if (power_constrained(cmd)) {
+        t = std::max(t, r.next_activate);
+        if (r.act_window.size() >= 4) {
+          t = std::max(t, r.act_window.front() + timing_.tfaw);
+        }
+      }
+      return t;
+    }
+    case command_kind::copy_activate:
+      return std::max(t, b.next_copy_activate);
+    case command_kind::precharge:
+      return std::max(t, b.next_precharge);
+    case command_kind::read: {
+      t = std::max({t, b.next_column, r.next_read, next_column_});
+      // Ensure the data burst finds the bus free.
+      t = std::max(t, bus_free_ - timing_.tcl);
+      return t;
+    }
+    case command_kind::write: {
+      t = std::max({t, b.next_column, next_column_});
+      t = std::max(t, bus_free_ - timing_.tcwl);
+      return t;
+    }
+    case command_kind::refresh: {
+      // All banks of the rank must be precharged; model as: issue no
+      // earlier than every bank's precharge has taken effect.
+      for (int bk = 0; bk < org_.banks; ++bk) {
+        t = std::max(t, banks_[flat(cmd.addr.rank, bk)].next_activate);
+      }
+      return t;
+    }
+  }
+  throw std::logic_error("unknown command kind");
+}
 
 }  // namespace pim::dram
 

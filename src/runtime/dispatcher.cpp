@@ -23,21 +23,18 @@ core::kernel_profile dispatcher::profile_for(const pim_task& task) const {
       const std::uint64_t words = n / 8;
       const bool unary = dram::is_unary(args.op);
       // Host loop per 8 B word: loads, the Boolean op, the store.
-      p.name = "bulk_" + dram::to_string(args.op);
       p.instructions = words * (unary ? 3 : 4);
       p.memory_traffic = n * (unary ? 2 : 3);
       p.host_cache_hit = 0.0;  // streaming, no reuse
       break;
     }
     case task_kind::row_copy: {
-      p.name = "row_copy";
       p.instructions = org_.row_bytes() / 8 * 2;
       p.memory_traffic = org_.row_bytes() * 2;  // read src, write dst
       p.host_cache_hit = 0.0;
       break;
     }
     case task_kind::row_memset: {
-      p.name = "row_memset";
       p.instructions = org_.row_bytes() / 8;
       p.memory_traffic = org_.row_bytes();
       p.host_cache_hit = 0.0;

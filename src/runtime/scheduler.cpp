@@ -475,6 +475,7 @@ void scheduler::tick() {
   // the freed slots.
   const picoseconds now = mem_.now_ps();
   for (executor_pool* pool : {&host_pool_, &ndp_pool_}) {
+    if (pool->running.empty()) continue;  // work queues only behind runs
     for (std::size_t i = 0; i < pool->running.size();) {
       if (pool->running[i].second <= now) {
         const task_id id = pool->running[i].first;

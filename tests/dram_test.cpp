@@ -486,6 +486,169 @@ TEST(ControllerTest, ScheduleMatchesGolden) {
   }
 }
 
+// next_event_cycle() records the command tick() issues at the cycle it
+// returns, so tick() need not walk the candidates again. A seeded
+// driver feeds one channel host reads and writes, Ambit-shaped and
+// PSM-shaped bulk sequences and refresh over three refresh intervals.
+// After each next_event_cycle() it ticks at the returned cycle, ticks
+// short of it, or enqueues more work and ticks once. A twin controller
+// gets the same work at the same cycles and is ticked every cycle, so
+// it walks every time. Both must issue the same commands at the same
+// cycles (the counters after each cycle that issues), complete the
+// same work at the same times and end on the same cycle.
+TEST(ControllerTest, RecordedIssueMatchesFullWalk) {
+  organization org = small_org();
+  org.channels = 1;
+  const timing_params timing = ddr3_1600();
+  const subarray_layout layout(org);
+  const ambit_compiler compiler(org, /*rich_decoder=*/true);
+
+  struct side {
+    explicit side(const organization& org, const timing_params& timing)
+        : ctrl(org, timing) {}
+    controller ctrl;
+    // (cycle, counters) after every cycle whose tick issued a command.
+    std::vector<std::pair<cycles, std::map<std::string, std::uint64_t>>>
+        issued;
+    std::vector<std::pair<int, picoseconds>> done;  // (id, time)
+
+    void tick() {
+      const std::map<std::string, std::uint64_t> before =
+          ctrl.counters().all();
+      ctrl.tick();
+      std::map<std::string, std::uint64_t> after = ctrl.counters().all();
+      if (after != before) issued.emplace_back(ctrl.now_cycles(), after);
+    }
+    auto note(int id) {
+      return [this, id](picoseconds t) { done.emplace_back(id, t); };
+    }
+  };
+  side events(org, timing);  // ticks only where next_event_cycle() says
+  side every(org, timing);   // ticks every cycle
+
+  rng gen(47);
+  auto pick = [&gen](int count) {
+    return static_cast<int>(gen.next_below(static_cast<std::uint64_t>(count)));
+  };
+  int next_id = 0;
+  // One piece of work on both sides, unless 16 are outstanding.
+  auto add_work = [&] {
+    while (every.ctrl.now_cycles() < events.ctrl.now_cycles()) every.tick();
+    if (next_id - static_cast<int>(events.done.size()) >= 16) return;
+    const int id = next_id++;
+    if (gen.next_bool(0.6)) {
+      // Host traffic on three rows of every bank: hits, misses,
+      // conflicts.
+      const address a{0, pick(org.ranks), pick(org.banks), pick(3),
+                      pick(org.columns)};
+      const request_kind kind =
+          gen.next_bool(0.3) ? request_kind::write : request_kind::read;
+      for (side* s : {&events, &every}) {
+        request req;
+        req.kind = kind;
+        req.on_complete = s->note(id);
+        ASSERT_TRUE(s->ctrl.enqueue(std::move(req), a));
+      }
+      return;
+    }
+    bulk_sequence shape;
+    if (gen.next_bool(0.6)) {
+      // One row of an Ambit op, as ambit_engine lowers it.
+      const std::vector<bulk_op>& ops = all_bulk_ops();
+      const bulk_op op =
+          ops[static_cast<std::size_t>(pick(static_cast<int>(ops.size())))];
+      const address bank{0, pick(org.ranks), pick(org.banks)};
+      const int sub = pick(org.subarrays);
+      for (const ambit_step& st :
+           compiler.compile(op, sub, layout.data_row(sub, 0),
+                            layout.data_row(sub, 1), layout.data_row(sub, 2))) {
+        address first = bank;
+        first.row = st.src_row;
+        address second = bank;
+        second.row = st.dst_row;
+        shape.commands.push_back({st.tra ? command_kind::triple_activate
+                                         : command_kind::activate,
+                                  first, true});
+        shape.commands.push_back({command_kind::copy_activate, second, true});
+        shape.commands.push_back({command_kind::precharge, second, true});
+      }
+    } else {
+      // A PSM row copy between two banks, column by column.
+      const address src{0, pick(org.ranks), pick(org.banks),
+                        layout.data_row(pick(org.subarrays), pick(4))};
+      address dst = src;
+      dst.rank = pick(org.ranks);
+      dst.bank = (src.bank + 1 + pick(org.banks - 1)) % org.banks;
+      shape.commands.push_back({command_kind::activate, src, true});
+      shape.commands.push_back({command_kind::activate, dst, true});
+      for (int col = 0; col < org.columns; ++col) {
+        address s = src;
+        s.column = col;
+        address d = dst;
+        d.column = col;
+        shape.commands.push_back({command_kind::read, s, true});
+        shape.commands.push_back({command_kind::write, d, true});
+      }
+      shape.commands.push_back({command_kind::precharge, src, true});
+      shape.commands.push_back({command_kind::precharge, dst, true});
+    }
+    for (side* s : {&events, &every}) {
+      bulk_sequence seq = shape;
+      seq.on_complete = s->note(id);
+      s->ctrl.enqueue_bulk(std::move(seq));
+    }
+  };
+
+  int at_event = 0;
+  int short_of_event = 0;
+  int work_first = 0;
+  while (events.ctrl.now_cycles() < 3 * timing.trefi + 500) {
+    const cycles now = events.ctrl.now_cycles();
+    const cycles next = events.ctrl.next_event_cycle();
+    ASSERT_GT(next, now);
+    const int action = pick(10);
+    if (action < 4) {
+      events.ctrl.jump_to(next - 1);
+      ++at_event;
+    } else if (action < 7) {
+      if (next - now > 1) {
+        const auto room = static_cast<std::uint64_t>(next - now - 1);
+        events.ctrl.jump_to(now + static_cast<cycles>(gen.next_below(room)));
+        ++short_of_event;
+      }
+    } else {
+      add_work();
+      ++work_first;
+    }
+    events.tick();
+  }
+  while (!events.ctrl.idle()) {
+    events.ctrl.jump_to(events.ctrl.next_event_cycle() - 1);
+    events.tick();
+  }
+  while (!every.ctrl.idle() ||
+         every.ctrl.now_cycles() < events.ctrl.now_cycles()) {
+    every.tick();
+  }
+
+  EXPECT_EQ(events.issued, every.issued);
+  EXPECT_EQ(events.done, every.done);
+  EXPECT_EQ(events.ctrl.now_cycles(), every.ctrl.now_cycles());
+
+  // The stream covered what it claims to.
+  EXPECT_GT(at_event, 100);
+  EXPECT_GT(short_of_event, 100);
+  EXPECT_GT(work_first, 100);
+  EXPECT_EQ(every.done.size(), static_cast<std::size_t>(next_id));
+  const counter_set counters = every.ctrl.counters();
+  for (const char* name :
+       {"ctrl.row_hits", "ctrl.row_misses", "ctrl.row_conflicts",
+        "ctrl.refresh_pre", "dram.tra", "dram.copy_act", "dram.bulk_rd"}) {
+    EXPECT_GT(counters.get(name), 0u) << name;
+  }
+  EXPECT_GE(counters.get("dram.ref"), 3u * 2u);
+}
+
 TEST(MemorySystemTest, RoutesAcrossChannels) {
   organization org = small_org();
   memory_system mem(org, ddr3_1600());
@@ -1246,6 +1409,54 @@ TEST_P(AmbitEngineTest, IssuesExpectedTraCount) {
     if (s.tra) ++tra_per_row;
   }
   EXPECT_EQ(c.get("dram.tra"), static_cast<std::uint64_t>(4 * tra_per_row));
+}
+
+// execute() computes each finished row in place. Each case is checked
+// against apply() on copies of the operand rows taken before execute():
+// a destination never written, an operand never written (it reads as
+// zeros), d aliasing a, d aliasing b, and d aliasing an operand never
+// written. Rows are compared whole, bits past the vector's end too.
+TEST_P(AmbitEngineTest, ComputesRowsInPlace) {
+  const bulk_op op = GetParam();
+  const bool unary = is_unary(op);
+  const bits size = org_.row_bits() * 3 + 77;  // partial last row
+  auto group = alloc_.allocate_group(size, 5);
+  bulk_vector& a = group[0];
+  bulk_vector& b = group[1];
+  bulk_vector& d = group[2];
+  rng gen(29);
+  for (const bulk_vector* v : {&a, &b}) {
+    for (const address& r : v->rows) {
+      mem_.row(r) = bitvector::random(org_.row_bits(), gen);
+    }
+  }
+  auto check = [&](bulk_vector& x, bulk_vector* y, bulk_vector& out,
+                   const char* what) {
+    std::vector<bitvector> want;
+    for (std::size_t i = 0; i < x.rows.size(); ++i) {
+      const bitvector rx = mem_.row_or_zero(x.rows[i]);
+      const bitvector ry = y != nullptr ? mem_.row_or_zero(y->rows[i]) : rx;
+      want.push_back(ambit_engine::apply(op, rx, ry));
+    }
+    bool finished = false;
+    engine_.execute(op, x, y, out, [&] { finished = true; });
+    mem_.drain();
+    EXPECT_TRUE(finished) << what;
+    for (std::size_t i = 0; i < out.rows.size(); ++i) {
+      EXPECT_EQ(mem_.row_or_zero(out.rows[i]), want[i])
+          << what << ", row " << i;
+    }
+  };
+  bulk_vector* second = unary ? nullptr : &b;
+
+  ASSERT_FALSE(mem_.row_materialized(d.rows[0]));
+  check(a, second, d, "destination never written");
+  ASSERT_FALSE(mem_.row_materialized(group[3].rows[0]));
+  check(group[3], second, d, "operand never written");
+  check(a, second, a, "d aliases a");
+  if (!unary) check(a, &b, b, "d aliases b");
+  ASSERT_FALSE(mem_.row_materialized(group[4].rows[0]));
+  check(group[4], second, group[4], "d aliases an operand never written");
 }
 
 // write_vector/read_vector pack a vector row by row exactly as a
