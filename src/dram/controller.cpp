@@ -117,20 +117,19 @@ std::optional<command> controller::next_command(
   return cmd;
 }
 
-template <typename Self, typename Visit>
-void controller::for_each_candidate(Self& self, Visit visit) {
-  const auto no_bulk = self.bulk_queue_.end();
-  const auto no_request = self.queue_.end();
-  for (int rk = 0; rk < self.org_.ranks; ++rk) {
-    if (!self.refresh_pending_[static_cast<std::size_t>(rk)]) continue;
+template <typename Visit>
+void controller::for_each_candidate(Visit visit) const {
+  const auto no_bulk = bulk_queue_.end();
+  const auto no_request = queue_.end();
+  for (int rk = 0; rk < org_.ranks; ++rk) {
+    if (!refresh_pending_[static_cast<std::size_t>(rk)]) continue;
     // A held bank stays open until its sequence finishes and releases it.
     bool any_open = false;
-    for (int flat = rk * self.org_.banks; flat < (rk + 1) * self.org_.banks;
-         ++flat) {
-      if (!self.bank_open(flat)) continue;
+    for (int flat = rk * org_.banks; flat < (rk + 1) * org_.banks; ++flat) {
+      if (!bank_open(flat)) continue;
       any_open = true;
-      if (!self.bank_locked(flat) &&
-          visit(self.precharge_of(flat), source::refresh_pre, no_bulk,
+      if (!bank_locked(flat) &&
+          visit(precharge_of(flat), source::refresh_pre, no_bulk,
                 no_request)) {
         return;
       }
@@ -141,19 +140,18 @@ void controller::for_each_candidate(Self& self, Visit visit) {
     ref.addr.rank = rk;
     if (visit(ref, source::refresh, no_bulk, no_request)) return;
   }
-  for (auto pb = self.bulk_queue_.begin(); pb != self.bulk_queue_.end();
-       ++pb) {
+  for (auto pb = bulk_queue_.begin(); pb != bulk_queue_.end(); ++pb) {
     if (!pb->started) {
       // A held bank or a rank awaiting refresh clears only when some
       // command issues, which is a candidate of its own.
-      if (self.start_blocked(*pb)) continue;
+      if (start_blocked(*pb)) continue;
       // Host traffic may have left a row open; the sequence's
       // activations need precharged banks, so close them first.
       bool any_open = false;
       for (int flat : pb->banks) {
-        if (!self.bank_open(flat)) continue;
+        if (!bank_open(flat)) continue;
         any_open = true;
-        if (visit(self.precharge_of(flat), source::bulk_pre, no_bulk,
+        if (visit(precharge_of(flat), source::bulk_pre, no_bulk,
                   no_request)) {
           return;
         }
@@ -165,8 +163,8 @@ void controller::for_each_candidate(Self& self, Visit visit) {
     }
   }
   for (const bool row_hits : {true, false}) {
-    for (auto pr = self.queue_.begin(); pr != self.queue_.end(); ++pr) {
-      const std::optional<command> cmd = self.next_command(*pr);
+    for (auto pr = queue_.begin(); pr != queue_.end(); ++pr) {
+      const std::optional<command> cmd = next_command(*pr);
       if (cmd && is_column(cmd->kind) == row_hits &&
           visit(*cmd, source::request, no_bulk, pr)) {
         return;
@@ -266,45 +264,37 @@ void controller::tick() {
     std::fill(refresh_pending_.begin(), refresh_pending_.end(), 1);
     plan_.reset();
   }
-  // One command per cycle on the command bus.
-  if (plan_ && cycle_ <= plan_->at) {
-    // next_event_cycle() already chose this cycle's command, and
-    // nothing issues before it.
-    if (cycle_ == plan_->at) {
-      const planned_issue p = *plan_;
-      plan_.reset();
-      if (p.issues) {
-        const auto entry = static_cast<std::ptrdiff_t>(p.entry);
-        issue(p.cmd, p.from,
-              p.from == source::bulk ? bulk_queue_.begin() + entry
-                                     : bulk_queue_.end(),
-              p.from == source::request ? queue_.begin() + entry
-                                        : queue_.end());
-      }
-    }
-  } else {
+  // One command per cycle on the command bus: the one planned for this
+  // cycle, if any. Ticks before a planned cycle issue nothing.
+  if (!plan_ || plan_->at < cycle_) plan(cycle_);
+  if (plan_->at == cycle_) {
+    const planned_issue p = *plan_;
     plan_.reset();
-    for_each_candidate(*this, [this](const command& cmd, source from,
-                                     auto pb, auto pr) {
-      if (checker_.earliest(cmd) > cycle_) return false;
-      issue(cmd, from, pb, pr);
-      return true;
-    });
+    if (p.issues) {
+      const auto entry = static_cast<std::ptrdiff_t>(p.entry);
+      issue(p.cmd, p.from,
+            p.from == source::bulk ? bulk_queue_.begin() + entry
+                                   : bulk_queue_.end(),
+            p.from == source::request ? queue_.begin() + entry
+                                      : queue_.end());
+    }
   }
   finish_completions();
 }
 
 cycles controller::next_event_cycle() const {
-  if (plan_ && plan_->at > cycle_) return plan_->at;
+  if (!plan_ || plan_->at <= cycle_) plan(cycle_ + 1);
+  return plan_->at;
+}
+
+void controller::plan(cycles soon) const {
   // Each candidate's earliest cycle holds until some command issues, a
   // completion lands or the refresh deadline passes. The walk keeps
   // the first candidate with the least earliest cycle, and stops at
-  // the first one ready at now + 1: tick() issues that one next.
-  const cycles soon = cycle_ + 1;
+  // the first one ready at `soon`: that one issues next.
   cycles first = std::numeric_limits<cycles>::max();
   planned_issue p;
-  for_each_candidate(*this, [&](const command& cmd, source from, auto pb,
-                                auto pr) {
+  for_each_candidate([&](const command& cmd, source from, auto pb, auto pr) {
     const cycles at = checker_.earliest(cmd);
     if (at >= first) return false;
     first = at;
@@ -321,7 +311,6 @@ cycles controller::next_event_cycle() const {
   p.at = std::max(next, soon);
   p.issues = first <= p.at;
   plan_ = p;
-  return p.at;
 }
 
 void controller::jump_to(cycles cycle) {

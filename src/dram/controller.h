@@ -95,9 +95,9 @@ class controller {
   /// What a candidate command advances when it issues.
   enum class source { refresh_pre, refresh, bulk_pre, bulk, request };
 
-  /// next_event_cycle()'s record: tick() changes nothing before `at`
-  /// and, when `issues`, issues `cmd` at `at`. `entry` indexes the
-  /// bulk_queue_ or queue_ entry a bulk or request command advances.
+  /// plan()'s record: tick() changes nothing before `at` and, when
+  /// `issues`, issues `cmd` at `at`. `entry` indexes the bulk_queue_ or
+  /// queue_ entry a bulk or request command advances.
   struct planned_issue {
     cycles at = 0;
     bool issues = false;
@@ -115,11 +115,17 @@ class controller {
   ///   - FR-FCFS host requests: row hits oldest first, then row
   ///     commands oldest first.
   /// `bulk` and `request` point at the queue entry the command
-  /// advances (end() for other sources); visit may erase that entry
-  /// when it returns true. `self` is *this, const or not, so tick()
-  /// and next_event_cycle() walk the same code.
-  template <typename Self, typename Visit>
-  static void for_each_candidate(Self& self, Visit visit);
+  /// advances (end() for other sources).
+  template <typename Visit>
+  void for_each_candidate(Visit visit) const;
+
+  /// Records in plan_ the earliest cycle >= `soon` at which tick()
+  /// could change any state, and the command tick() issues then, if
+  /// any: the first candidate ready at `soon` if there is one, else the
+  /// first with the least earliest cycle. next_event_cycle() plans for
+  /// now + 1; tick() plans for the cycle it enters when no record
+  /// covers that cycle.
+  void plan(cycles soon) const;
 
   int flat_bank(const address& a) const {
     return a.rank * org_.banks + a.bank;
@@ -141,7 +147,8 @@ class controller {
   std::optional<command> next_command(const pending_request& pr) const;
 
   /// Places `cmd` on the bus this cycle, counts it and advances what it
-  /// came from; `pb` and `pr` as for_each_candidate passes them.
+  /// came from: `pb` and `pr` point at the queue entry it advances
+  /// (end() for other sources), which issue() may erase.
   void issue(const command& cmd, source from,
              std::deque<bulk_state>::iterator pb,
              std::deque<pending_request>::iterator pr);
@@ -167,7 +174,7 @@ class controller {
   std::vector<std::uint8_t> refresh_pending_;
   cycles next_refresh_ = 0;
 
-  // next_event_cycle()'s record, if it still holds.
+  // plan()'s record, if it still holds.
   mutable std::optional<planned_issue> plan_;
 
   std::vector<completion> completions_;

@@ -323,14 +323,10 @@ obs::metrics_snapshot remote_client::snapshot(std::int64_t slow_threshold_ns) {
   return std::move(snap->snap);
 }
 
-std::uint64_t remote_client::trace_ctl(std::uint8_t action,
-                                       const std::string& path,
+std::uint64_t remote_client::trace_ctl(trace_ctl_req::action_kind action,
                                        std::string* json) {
   auto reply = std::make_shared<net_message>();
-  trace_ctl_req req;
-  req.action = action;
-  req.path = path;
-  send_request(req, reply).get();
+  send_request(trace_ctl_req{action, ""}, reply).get();
   const auto* ack = std::get_if<trace_ack_resp>(reply.get());
   if (ack == nullptr) {
     throw std::runtime_error("remote_client: unexpected trace_ctl response");
@@ -340,20 +336,19 @@ std::uint64_t remote_client::trace_ctl(std::uint8_t action,
 }
 
 std::uint64_t remote_client::trace_enable() {
-  return trace_ctl(trace_ctl_req::enable, "", nullptr);
+  return trace_ctl(trace_ctl_req::enable, nullptr);
 }
 
 std::uint64_t remote_client::trace_disable() {
-  return trace_ctl(trace_ctl_req::disable, "", nullptr);
+  return trace_ctl(trace_ctl_req::disable, nullptr);
 }
 
 std::uint64_t remote_client::trace_clear() {
-  return trace_ctl(trace_ctl_req::clear, "", nullptr);
+  return trace_ctl(trace_ctl_req::clear, nullptr);
 }
 
-std::uint64_t remote_client::trace_dump(const std::string& path,
-                                        std::string* json) {
-  return trace_ctl(trace_ctl_req::dump, path, json);
+std::uint64_t remote_client::trace_dump(std::string* json) {
+  return trace_ctl(trace_ctl_req::dump, json);
 }
 
 }  // namespace pim::net

@@ -75,14 +75,12 @@ class remote_client final : public service::client_api {
   std::string metrics_json();
 
   /// Remote tracer control (the wire `trace_ctl` op). Each call
-  /// returns the server's buffered event count after the action.
-  /// trace_dump with an empty path returns the Chrome trace JSON via
-  /// `json`; with a path the server writes the file on its side.
+  /// returns the server's buffered event count after the action;
+  /// trace_dump also returns the server's Chrome trace JSON via `json`.
   std::uint64_t trace_enable();
   std::uint64_t trace_disable();
   std::uint64_t trace_clear();
-  std::uint64_t trace_dump(const std::string& path,
-                           std::string* json = nullptr);
+  std::uint64_t trace_dump(std::string* json = nullptr);
 
   /// The server's metrics at this instant (the wire `snapshot` op):
   /// registry counters, gauges and histograms plus the service
@@ -106,7 +104,7 @@ class remote_client final : public service::client_api {
   /// the future.
   service::request_future send_request(const net_message& msg,
                                        std::shared_ptr<net_message> reply);
-  std::uint64_t trace_ctl(std::uint8_t action, const std::string& path,
+  std::uint64_t trace_ctl(trace_ctl_req::action_kind action,
                           std::string* json);
   void reader_loop();
   void writer_loop();

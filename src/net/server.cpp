@@ -37,10 +37,10 @@ struct connection_demux {
 
   /// Async requests submitted but not yet answered: the shared
   /// completion state (readable once `completed` names the id) and the
-  /// response opcode to build from it.
+  /// opcode of the request's declared response (data or done).
   struct pending {
     std::shared_ptr<service::request_state> state;
-    opcode reply = opcode::done;
+    std::uint8_t reply = done_resp::code;
   };
   std::unordered_map<std::uint64_t, pending> inflight;
   /// Ids whose futures completed, in completion order — the order
@@ -186,14 +186,10 @@ void enqueue_frame(connection_demux& dx, std::uint64_t id,
 net_message build_response(connection_demux::pending& p) {
   std::lock_guard<std::mutex> lock(p.state->mu);
   if (!p.state->error.empty()) return error_resp{p.state->error};
-  switch (p.reply) {
-    case opcode::vectors:
-      return vectors_resp{std::move(p.state->result.vectors)};
-    case opcode::data:
-      return data_resp{std::move(p.state->result.data)};
-    default:
-      return done_resp{p.state->result.report};
+  if (p.reply == data_resp::code) {
+    return data_resp{std::move(p.state->result.data)};
   }
+  return done_resp{p.state->result.report};
 }
 
 /// The snapshot request's answer: the registry snapshot plus
@@ -336,8 +332,7 @@ void pim_server::accept_loop(const int listen_fd) {
       // request id BEFORE submitting: the completion hook may fire on
       // the shard worker before the submitting call even returns.
       auto submit_async =
-          [&](std::uint64_t id, opcode reply,
-              auto&& do_submit) {
+          [&](std::uint64_t id, std::uint8_t reply, auto&& do_submit) {
             auto state = std::make_shared<service::request_state>();
             // Flow id = wire request id: the client minted it from the
             // same flow counter, so loopback traces stitch both halves.
@@ -399,7 +394,7 @@ void pim_server::accept_loop(const int listen_fd) {
                   enqueue_frame(*dx, id, std::move(resp));
                 } else if constexpr (std::is_same_v<T, write_req>) {
                   require_session(m.session);
-                  submit_async(id, opcode::done, [&](auto state) {
+                  submit_async(id, T::response::code, [&](auto state) {
                     service::request r;
                     r.session = m.session;
                     r.completion = std::move(state);
@@ -409,7 +404,7 @@ void pim_server::accept_loop(const int listen_fd) {
                   });
                 } else if constexpr (std::is_same_v<T, read_req>) {
                   require_session(m.session);
-                  submit_async(id, opcode::data, [&](auto state) {
+                  submit_async(id, T::response::code, [&](auto state) {
                     service::request r;
                     r.session = m.session;
                     r.completion = std::move(state);
@@ -418,7 +413,7 @@ void pim_server::accept_loop(const int listen_fd) {
                   });
                 } else if constexpr (std::is_same_v<T, submit_req>) {
                   require_session(m.session);
-                  submit_async(id, opcode::done, [&](auto state) {
+                  submit_async(id, T::response::code, [&](auto state) {
                     service::request r;
                     r.session = m.session;
                     r.completion = std::move(state);
@@ -428,7 +423,7 @@ void pim_server::accept_loop(const int listen_fd) {
                   });
                 } else if constexpr (std::is_same_v<T, submit_shared_req>) {
                   require_session(m.issuer);
-                  submit_async(id, opcode::done, [&](auto state) {
+                  submit_async(id, T::response::code, [&](auto state) {
                     // Blocks this connection's reader for the fetch
                     // phase of a cross-shard plan — per-connection
                     // head-of-line blocking, matching the in-process
@@ -479,17 +474,18 @@ void pim_server::accept_loop(const int listen_fd) {
                       t.disable();
                       break;
                     case trace_ctl_req::dump:
-                      if (m.path.empty()) {
-                        resp.json = t.chrome_json();
-                      } else {
-                        t.write_chrome_json(m.path);
+                      // The trace goes back inline: a peer never
+                      // names a file for the server to write.
+                      if (!m.path.empty()) {
+                        throw std::invalid_argument(
+                            "trace_ctl: the server writes no trace file; "
+                            "dump with an empty path");
                       }
+                      resp.json = t.chrome_json();
                       break;
                     case trace_ctl_req::clear:
                       t.clear();
                       break;
-                    default:
-                      throw protocol_error("unknown trace_ctl action");
                   }
                   resp.events = t.event_count();
                   enqueue_frame(*dx, id, std::move(resp));

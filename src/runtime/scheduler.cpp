@@ -1,7 +1,6 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -121,33 +120,32 @@ task_future scheduler::submit(pim_task task, backend_kind where,
   // Row-granular hazards against still-active earlier tasks:
   // RAW (read a pending write), WAW (write a pending write),
   // WAR (write a pending read).
-  std::set<task_id> deps;
   auto depend_on = [&](task_id dep, std::uint64_t key) {
-    // First row to carry a hazard against `dep` wins: that is the row
-    // reported as blocked_row if `dep` turns out to be the release
-    // edge (the last hazard to clear).
-    if (deps.insert(dep).second) n.dep_rows.emplace_back(dep, key);
+    const auto found = active_.find(dep);
+    if (found == active_.end()) return;  // completed: no hazard
+    // One edge per dependency: this task is at the back of `dep`'s
+    // dependents only if an earlier row appended it. The first row to
+    // carry a hazard against `dep` wins: that is the row reported as
+    // blocked_row if `dep` turns out to be the release edge (the last
+    // hazard to clear).
+    std::vector<task_id>& dependents = found->second.dependents;
+    if (!dependents.empty() && dependents.back() == id) return;
+    dependents.push_back(id);
+    n.dep_rows.emplace_back(dep, key);
   };
   auto writer_of = [&](std::uint64_t key) {
     auto it = last_writer_.find(key);
-    if (it != last_writer_.end() && active_.count(it->second)) {
-      depend_on(it->second, key);
-    }
+    if (it != last_writer_.end()) depend_on(it->second, key);
   };
   for (std::uint64_t key : n.reads) writer_of(key);
   for (std::uint64_t key : n.writes) {
     writer_of(key);
     auto it = readers_.find(key);
     if (it != readers_.end()) {
-      for (task_id reader : it->second) {
-        if (active_.count(reader)) depend_on(reader, key);
-      }
+      for (task_id reader : it->second) depend_on(reader, key);
     }
   }
-  for (task_id dep : deps) {
-    active_[dep].dependents.push_back(id);
-  }
-  n.unmet_deps = static_cast<int>(deps.size());
+  n.unmet_deps = static_cast<int>(n.dep_rows.size());
   for (std::uint64_t key : n.writes) {
     last_writer_[key] = id;
     readers_[key].clear();
@@ -163,10 +161,11 @@ task_future scheduler::submit(pim_task task, backend_kind where,
 
   n.task = std::move(task);
   task_future future(n.future);
+  const bool ready = n.unmet_deps == 0;
   active_.emplace(id, std::move(n));
   ++outstanding_;
   ++stats_.submitted;
-  if (deps.empty()) {
+  if (ready) {
     release(id);
   } else {
     ++stats_.hazard_deferred;
@@ -238,10 +237,6 @@ void scheduler::release(task_id id) {
 
   switch (n.where) {
     case backend_kind::ambit: {
-      if (n.task.kind() != task_kind::bulk_bool) {
-        throw std::invalid_argument(
-            "scheduler: only bulk_bool tasks run on the Ambit backend");
-      }
       auto& args = std::get<bulk_bool_args>(n.task.payload);
       ambit_.execute(args.op, args.a, args.b ? &*args.b : nullptr, args.d,
                      [this, id] { completed_fifo_.push_back(id); });
@@ -256,12 +251,9 @@ void scheduler::release(task_id id) {
         } else {
           rowclone_.copy_psm(args.src, args.dst, done);
         }
-      } else if (n.task.kind() == task_kind::row_memset) {
+      } else {
         const auto& args = std::get<row_memset_args>(n.task.payload);
         rowclone_.memset_row(args.dst, args.ones, done);
-      } else {
-        throw std::invalid_argument(
-            "scheduler: only row copy/memset tasks run on RowClone");
       }
       break;
     }

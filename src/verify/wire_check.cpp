@@ -7,49 +7,20 @@
 
 namespace pim::verify {
 
-namespace {
-
-constexpr std::uint8_t raw(net::opcode op) {
-  return static_cast<std::uint8_t>(op);
-}
-
-}  // namespace
-
 wire_schema_info canonical_wire_schema() {
-  using net::opcode;
   wire_schema_info s;
-  s.error_opcode = raw(opcode::error);
-  s.opcodes = {
-      // requests                                 response
-      {raw(opcode::open_session), "open_session", true, raw(opcode::opened)},
-      {raw(opcode::close_session), "close_session", true, raw(opcode::closed)},
-      {raw(opcode::allocate), "allocate", true, raw(opcode::vectors)},
-      {raw(opcode::write), "write", true, raw(opcode::done)},
-      {raw(opcode::read), "read", true, raw(opcode::data)},
-      {raw(opcode::submit), "submit", true, raw(opcode::done)},
-      {raw(opcode::submit_shared), "submit_shared", true, raw(opcode::done)},
-      {raw(opcode::wait), "wait", true, raw(opcode::waited)},
-      {raw(opcode::get_metrics), "get_metrics", true, raw(opcode::metrics_report)},
-      {raw(opcode::trace_ctl), "trace_ctl", true, raw(opcode::trace_ack)},
-      {raw(opcode::snapshot), "snapshot", true, raw(opcode::snapshot_report)},
-      // responses
-      {raw(opcode::opened), "opened", false, 0},
-      {raw(opcode::closed), "closed", false, 0},
-      {raw(opcode::vectors), "vectors", false, 0},
-      {raw(opcode::data), "data", false, 0},
-      {raw(opcode::done), "done", false, 0},
-      {raw(opcode::waited), "waited", false, 0},
-      {raw(opcode::error), "error", false, 0},
-      {raw(opcode::metrics_report), "metrics_report", false, 0},
-      {raw(opcode::trace_ack), "trace_ack", false, 0},
-      {raw(opcode::snapshot_report), "snapshot_report", false, 0},
-  };
-  // Closedness against the real protocol: one schema entry per
-  // net_message alternative. Adding a message type without extending
-  // this table fails the build here; pim_lint and the mutation tests
-  // take it from there.
-  static_assert(21 == std::variant_size_v<net::net_message>,
-                "net_message changed: extend canonical_wire_schema()");
+  s.error_opcode = net::error_resp::code;
+  // Read from the message declarations, so every net_message
+  // alternative has its entry, in variant order.
+  net::for_each_message([&s](auto type) {
+    using M = typename decltype(type)::type;
+    opcode_info op{M::code, M::name, false, 0};
+    if constexpr (requires { typename M::response; }) {
+      op.request = true;
+      op.response = M::response::code;
+    }
+    s.opcodes.push_back(op);
+  });
   return s;
 }
 

@@ -1,14 +1,13 @@
 // Static checker for the wire opcode/response table (V3xx block).
 //
-// net/protocol.h defines the message grammar as C++ types; what no
-// type system enforces is that the *table* is closed and consistent:
-// every request opcode has a response arm, request and response
-// values stay in their ranges (below/above 64), and no value is
-// assigned twice. canonical_wire_schema()
-// mirrors the real protocol table (a static_assert pins its size to
-// the net_message variant, so adding an opcode without extending the
-// schema fails the build); check_wire_schema validates any schema —
-// the canonical one in CI, seeded-bad copies in the mutation tests.
+// net/protocol.h declares each message's opcode, name and success
+// response with its fields; what no type system enforces is that the
+// *table* they form is consistent: every request opcode has a response
+// arm, request and response values stay in their ranges (below/above
+// 64), and no value is assigned twice. canonical_wire_schema() reads
+// the table from those declarations, one entry per net_message
+// alternative; check_wire_schema validates any schema — the canonical
+// one in CI, seeded-bad copies in the mutation tests.
 #ifndef PIM_VERIFY_WIRE_CHECK_H
 #define PIM_VERIFY_WIRE_CHECK_H
 
@@ -35,7 +34,8 @@ struct wire_schema_info {
   std::vector<opcode_info> opcodes;
 };
 
-/// The real protocol's table, built from net/protocol.h constants.
+/// The real protocol's table, read from the net/protocol.h message
+/// declarations.
 wire_schema_info canonical_wire_schema();
 
 /// V301 opcode-range, V302 duplicate-opcode, V303 missing-response-arm.

@@ -4,20 +4,24 @@
 // across every message type, the done frame's golden bytes, then every
 // malformed-input class — bad magic, oversized length, wrong version,
 // truncated body, unknown opcode or report enum, report stamps that do
-// not telescope, trailing bytes. The server tests drive real loopback
-// sockets: garbage input must produce one error frame and a closed
-// connection (never a crash, and never take down other connections),
-// and a synthetic fleet over remote_client must reproduce the
-// in-process digests bit for bit with pipelined, out-of-order
-// responses.
+// not telescope, trailing bytes — and the golden bytes of one frame of
+// every message type with seeded mutants of them. The server tests
+// drive real loopback sockets: garbage input must produce one error
+// frame and a closed connection (never a crash, and never take down
+// other connections), and a synthetic fleet over remote_client must
+// reproduce the in-process digests bit for bit with pipelined,
+// out-of-order responses.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -424,6 +428,258 @@ TEST(protocol, rejects_trailing_bytes_in_frame) {
   frame_splitter splitter;
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
+}
+
+// ---------------------------------------------------------------------------
+// Every message's bytes, pinned
+// ---------------------------------------------------------------------------
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t b : bytes) {
+    hex += digits[b >> 4];
+    hex += digits[b & 15];
+  }
+  return hex;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+/// A two-row vector with a distinct non-zero value in every field.
+dram::bulk_vector tagged_vector(int tag) {
+  dram::bulk_vector v;
+  v.size = 100 + static_cast<bits>(tag);
+  for (int r = 0; r < 2; ++r) {
+    const int base = 10 * tag + 5 * r;
+    v.rows.push_back({base + 1, base + 2, base + 3, base + 4, base + 5});
+  }
+  return v;
+}
+
+/// One frame of every message type, both arms of each optional, with a
+/// non-zero value in every field (a unary submit's op is not_op, 0).
+struct sample_frame {
+  const char* name;
+  net_message msg;
+  const char* hex;  // encode_frame(sample_id, msg), recorded at version 4
+};
+constexpr std::uint64_t sample_id = 0x0102030405060708;
+
+std::vector<sample_frame> sample_frames() {
+  runtime::task_report r;
+  r.id = 0x1112131415161718;
+  r.stream = 3;
+  r.kind = runtime::task_kind::row_memset;
+  r.where = runtime::backend_kind::rowclone;
+  r.admit_ps = 100;
+  r.submit_ps = 200;
+  r.release_ps = 300;
+  r.start_ps = 400;
+  r.complete_ps = 500;
+  r.output_bytes = 4096;
+  r.channel = 1;
+  r.bank = 5;
+  r.energy_fj = 123456;
+  r.insitu_bytes = 64;
+  r.offchip_bytes = 128;
+  r.wire_bytes = 256;
+  r.blocked_on = 7;
+  r.blocked_row = 0x0000000100000002;
+  r.wire_hop = true;
+
+  obs::metrics_snapshot snap;
+  snap.counters["requests"] = 42;
+  snap.gauges["depth"] = -3;
+  geo_histogram h;
+  h.record(0, 2);
+  h.record(1000, 3);
+  h.record(std::uint64_t{1} << 20);
+  snap.histograms["latency_ns"] = h;
+
+  const service::shared_vector s1{21, tagged_vector(1)};
+  const service::shared_vector s2{22, tagged_vector(2)};
+  const service::shared_vector s3{23, tagged_vector(3)};
+  // Bit counts that leave the last word partial.
+  const bitvector written = sample_bits(100, 11);
+  const bitvector read_back = sample_bits(70, 12);
+
+  return {
+      {"open_session", open_session_req{2.5},
+       "314d495012000000040807060504030201010000000000000440"},
+      {"close_session", close_session_req{77},
+       "314d495012000000040807060504030201024d00000000000000"},
+      {"allocate", allocate_req{9, 8192, 3},
+       "314d49501e000000040807060504030201030900000000000000002000000000"
+       "000003000000"},
+      {"write", write_req{4, tagged_vector(1), written},
+       "314d49505e000000040807060504030201040400000000000000650000000000"
+       "0000020000000b0000000c0000000d0000000e0000000f000000100000001100"
+       "00001200000013000000140000006400000000000000dfa73969c27f283981a0"
+       "555c0f000000"},
+      {"read", read_req{5, tagged_vector(2)},
+       "314d495046000000040807060504030201050500000000000000660000000000"
+       "00000200000015000000160000001700000018000000190000001a0000001b00"
+       "00001c0000001d0000001e000000"},
+      {"submit binary",
+       submit_req{6, dram::bulk_op::xor_op, tagged_vector(1),
+                  tagged_vector(2), tagged_vector(3)},
+       "314d4950b0000000040807060504030201060600000000000000056500000000"
+       "000000020000000b0000000c0000000d0000000e0000000f0000001000000011"
+       "0000001200000013000000140000000166000000000000000200000015000000"
+       "160000001700000018000000190000001a0000001b0000001c0000001d000000"
+       "1e0000006700000000000000020000001f000000200000002100000022000000"
+       "230000002400000025000000260000002700000028000000"},
+      {"submit unary",
+       submit_req{6, dram::bulk_op::not_op, tagged_vector(1), std::nullopt,
+                  tagged_vector(3)},
+       "314d49507c000000040807060504030201060600000000000000006500000000"
+       "000000020000000b0000000c0000000d0000000e0000000f0000001000000011"
+       "000000120000001300000014000000006700000000000000020000001f000000"
+       "2000000021000000220000002300000024000000250000002600000027000000"
+       "28000000"},
+      {"submit_shared binary",
+       submit_shared_req{8, dram::bulk_op::nor_op, s1, s2, s3},
+       "314d4950c8000000040807060504030201070800000000000000041500000000"
+       "0000006500000000000000020000000b0000000c0000000d0000000e0000000f"
+       "0000001000000011000000120000001300000014000000011600000000000000"
+       "6600000000000000020000001500000016000000170000001800000019000000"
+       "1a0000001b0000001c0000001d0000001e000000170000000000000067000000"
+       "00000000020000001f0000002000000021000000220000002300000024000000"
+       "25000000260000002700000028000000"},
+      {"submit_shared unary",
+       submit_shared_req{8, dram::bulk_op::not_op, s1, std::nullopt, s3},
+       "314d49508c000000040807060504030201070800000000000000001500000000"
+       "0000006500000000000000020000000b0000000c0000000d0000000e0000000f"
+       "0000001000000011000000120000001300000014000000001700000000000000"
+       "6700000000000000020000001f00000020000000210000002200000023000000"
+       "2400000025000000260000002700000028000000"},
+      {"wait", wait_req{},
+       "314d49500a00000004080706050403020108"},
+      {"get_metrics", get_metrics_req{},
+       "314d49500a0000000408070605040302010b"},
+      {"trace_ctl", trace_ctl_req{trace_ctl_req::clear, "t.json"},
+       "314d4950150000000408070605040302010c0306000000742e6a736f6e"},
+      {"snapshot", snapshot_req{5'000'000},
+       "314d4950120000000408070605040302010e404b4c0000000000"},
+      {"opened", opened_resp{1234, 3},
+       "314d49501600000004080706050403020140d20400000000000003000000"},
+      {"closed", closed_resp{},
+       "314d49500a00000004080706050403020141"},
+      {"vectors", vectors_resp{{tagged_vector(4), tagged_vector(5)}},
+       "314d495076000000040807060504030201420200000068000000000000000200"
+       "0000290000002a0000002b0000002c0000002d0000002e0000002f0000003000"
+       "0000310000003200000069000000000000000200000033000000340000003500"
+       "0000360000003700000038000000390000003a0000003b0000003c000000"},
+      {"data", data_resp{read_back},
+       "314d495022000000040807060504030201434600000000000000a1a87152db64"
+       "f44e0500000000000000"},
+      {"done", done_resp{r},
+       "314d495081000000040807060504030201441817161514131211030000000201"
+       "c8000000000000009001000000000000f4010000000000000010000000000000"
+       "010000000500000040e201000000000040000000000000008000000000000000"
+       "000100000000000064000000000000002c010000000000000700000000000000"
+       "020000000100000001"},
+      {"waited", waited_resp{},
+       "314d49500a00000004080706050403020145"},
+      {"error", error_resp{"boom"},
+       "314d4950120000000408070605040302014704000000626f6f6d"},
+      {"metrics_report", metrics_resp{"{\"m\":1}"},
+       "314d49501500000004080706050403020149070000007b226d223a317d"},
+      {"trace_ack", trace_ack_resp{12, "[]"},
+       "314d4950180000000408070605040302014a0c00000000000000020000005b5d"},
+      {"snapshot_report", snapshot_resp{snap},
+       "314d4950510200000408070605040302014c0100000008000000726571756573"
+       "74732a0000000000000001000000050000006465707468fdffffffffffffff01"
+       "0000000a0000006c6174656e63795f6e73020000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0003000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000001000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "00000000000000000000000000000000000000000000000000"},
+  };
+}
+
+TEST(protocol, every_message_frame_matches_golden_bytes) {
+  const std::vector<sample_frame> frames = sample_frames();
+  std::set<std::size_t> covered;
+  for (const sample_frame& s : frames) covered.insert(s.msg.index());
+  EXPECT_EQ(covered.size(), std::variant_size_v<net_message>);
+  for (const sample_frame& s : frames) {
+    EXPECT_EQ(to_hex(encode_frame(sample_id, s.msg)), s.hex) << s.name;
+    frame_splitter splitter;
+    const std::vector<std::uint8_t> wire = from_hex(s.hex);
+    splitter.feed(wire.data(), wire.size());
+    const std::optional<net_frame> f = splitter.next();
+    ASSERT_TRUE(f.has_value()) << s.name;
+    EXPECT_EQ(f->id, sample_id);
+    EXPECT_EQ(f->msg.index(), s.msg.index()) << s.name;
+    EXPECT_EQ(encode_frame(sample_id, f->msg), wire) << s.name;
+  }
+}
+
+TEST(protocol, mutated_frames_are_refused_or_reencode_stably) {
+  // Overwrites 1-3 bytes from the opcode on (so a message with an
+  // empty body is mutated too) of every sample frame, 20,000 times per
+  // frame. Each mutant must throw protocol_error or decode to a
+  // message whose encoding decodes and encodes to the same bytes; any
+  // other exception fails the test. The counts were recorded at the
+  // version 4 codec: a decoder that accepts or refuses one more mutant
+  // changes them.
+  constexpr std::size_t opcode_at = 8 + 1 + 8;
+  auto decode = [](const std::vector<std::uint8_t>& wire) {
+    frame_splitter splitter;
+    splitter.feed(wire.data(), wire.size());
+    std::optional<net_frame> f = splitter.next();
+    if (!f) throw std::logic_error("whole frame not decoded");
+    return std::move(*f);
+  };
+  rng gen(23);
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (const sample_frame& s : sample_frames()) {
+    const std::vector<std::uint8_t> golden = from_hex(s.hex);
+    for (int trial = 0; trial < 20'000; ++trial) {
+      std::vector<std::uint8_t> wire = golden;
+      for (std::uint64_t k = 1 + gen.next_below(3); k > 0; --k) {
+        wire[opcode_at + gen.next_below(wire.size() - opcode_at)] =
+            static_cast<std::uint8_t>(gen.next_u64());
+      }
+      net_frame f;
+      try {
+        f = decode(wire);
+      } catch (const protocol_error&) {
+        ++refused;
+        continue;
+      } catch (const std::exception& e) {
+        FAIL() << s.name << " trial " << trial << ": " << e.what();
+      }
+      ++accepted;
+      const std::vector<std::uint8_t> once = encode_frame(f.id, f.msg);
+      ASSERT_EQ(encode_frame(f.id, decode(once).msg), once)
+          << s.name << " trial " << trial;
+    }
+  }
+  EXPECT_EQ(accepted, 264'848u);
+  EXPECT_EQ(refused, 195'152u);
 }
 
 // ---------------------------------------------------------------------------
@@ -892,13 +1148,49 @@ TEST(remote_client, trace_dump_while_disabled_returns_empty_trace) {
   {
     remote_client client("127.0.0.1", server.port());
     std::string json;
-    const std::uint64_t events = client.trace_dump("", &json);
+    const std::uint64_t events = client.trace_dump(&json);
     EXPECT_EQ(events, 0u);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos) << json;
     // Disable without a prior enable is equally benign.
     EXPECT_EQ(client.trace_disable(), 0u);
   }
   server.stop();
+}
+
+TEST(pim_server, trace_dump_naming_a_file_is_refused_and_writes_nothing) {
+  // A dump that names a path would let any peer create or truncate a
+  // file the server's user can write. The server answers it with an
+  // error for its id, writes nothing, and keeps serving the connection.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "pim_net_test_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/trace.json";
+
+  pim_server server(small_server_config());
+  server.start();
+  const int fd = connect_raw(server.port());
+  frame_splitter splitter;
+  auto ask = [&](std::uint64_t id, const std::string& named) {
+    const auto wire =
+        encode_frame(id, trace_ctl_req{trace_ctl_req::dump, named});
+    EXPECT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    return read_frame(fd, splitter);
+  };
+  const auto refused = ask(3, path);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->id, 3u);
+  EXPECT_TRUE(std::holds_alternative<error_resp>(refused->msg));
+  const auto inline_dump = ask(4, "");
+  ASSERT_TRUE(inline_dump.has_value());
+  EXPECT_EQ(inline_dump->id, 4u);
+  EXPECT_TRUE(std::holds_alternative<trace_ack_resp>(inline_dump->msg));
+  ::close(fd);
+  server.stop();
+
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(remote_client, snapshot_polls_track_traffic) {

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       std::cout << "trace_dump: trace buffer cleared\n";
     } else if (cmd == "dump") {
       std::string json;
-      const std::uint64_t events = client.trace_dump("", &json);
+      const std::uint64_t events = client.trace_dump(&json);
       std::cerr << "trace_dump: " << events << " events\n";
       return write_out(out, json);
     } else {  // metrics
