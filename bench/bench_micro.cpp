@@ -1,8 +1,8 @@
 // Micro-benchmarks of pimlib's own primitives (google-benchmark):
 // bitvector algebra, cache simulation, DRAM controller throughput,
 // Ambit command compilation, the runtime's tick loop under Ambit and
-// PSM work, and graph generation. These guard the simulator's
-// performance, not the paper's results.
+// PSM work on one channel and on two, and graph generation. These
+// guard the simulator's performance, not the paper's results.
 #include <benchmark/benchmark.h>
 
 #include "common/bitvector.h"
@@ -252,6 +252,54 @@ void bm_psm_row_copies(benchmark::State& state) {
       time_per_command(dram_commands(sys.memory().counters()) - before);
 }
 BENCHMARK(bm_psm_row_copies)->Unit(benchmark::kMicrosecond);
+
+// Two channels of the shard's shape: four Ambit ops over vectors that
+// stripe both channels, then sixteen PSM copies, each into a row of
+// another bank on its own channel, all waited together. The memory
+// system steps both channels' quiet runs in lockstep here, as in
+// offload_mix, where a one-channel system runs one controller's.
+void bm_two_channel_mix(benchmark::State& state) {
+  core::pim_system_config cfg = shard_system();
+  cfg.org.channels = 2;
+  core::pim_system sys(cfg);
+  const bits row_bits = sys.org().row_bits();
+  const auto ambit = sys.allocate(16 * row_bits, 6);
+  rng gen(11);
+  sys.write(ambit[0], bitvector::random(16 * row_bits, gen));
+  sys.write(ambit[1], bitvector::random(16 * row_bits, gen));
+  const auto rows = sys.allocate(16 * row_bits, 2);
+  std::vector<std::pair<dram::address, dram::address>> copies;
+  for (std::size_t i = 0; i < rows[0].rows.size(); ++i) {
+    const dram::address& src = rows[0].rows[i];
+    for (std::size_t k = 1; k <= rows[1].rows.size(); ++k) {
+      const dram::address& dst = rows[1].rows[(i + k) % rows[1].rows.size()];
+      if (dst.channel == src.channel && dst.bank != src.bank) {
+        copies.emplace_back(src, dst);
+        break;
+      }
+    }
+  }
+  const std::uint64_t before = dram_commands(sys.memory().counters());
+  for (auto _ : state) {
+    for (int d = 2; d < 6; ++d) {
+      const dram::bulk_op op =
+          d % 2 == 0 ? dram::bulk_op::and_op : dram::bulk_op::xor_op;
+      sys.submit_bulk(op, ambit[0], &ambit[1],
+                      ambit[static_cast<std::size_t>(d)]);
+    }
+    for (const auto& [src, dst] : copies) {
+      runtime::pim_task task;
+      task.payload = runtime::row_copy_args{src, dst, false};
+      task.forced_backend = runtime::backend_kind::rowclone;
+      sys.submit(std::move(task));
+    }
+    sys.wait_all();
+    benchmark::DoNotOptimize(sys.memory().now_cycles());
+  }
+  state.counters["time_per_command"] =
+      time_per_command(dram_commands(sys.memory().counters()) - before);
+}
+BENCHMARK(bm_two_channel_mix)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -43,6 +43,8 @@ struct command {
   /// conservative (~90 ns per copy); Ambit's AAP overlaps destination
   /// restoration with precharge (~tRAS + tRP total). Engines choose.
   bool conservative = false;
+
+  bool operator==(const command&) const = default;
 };
 
 }  // namespace pim::dram

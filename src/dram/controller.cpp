@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "verify/enabled.h"
+
 namespace pim::dram {
 
 namespace {
@@ -19,6 +21,11 @@ constexpr const char* kCounterNames[] = {
 
 bool is_column(command_kind kind) {
   return kind == command_kind::read || kind == command_kind::write;
+}
+
+bool is_activation(command_kind kind) {
+  return kind == command_kind::activate ||
+         kind == command_kind::triple_activate;
 }
 
 }  // namespace
@@ -39,7 +46,7 @@ bool controller::enqueue(request req, const address& at) {
   if (queue_.size() >= queue_capacity) return false;
   queue_.push_back({std::move(req), at});
   count(counter::requests);
-  plan_.reset();
+  changed();
   return true;
 }
 
@@ -58,7 +65,7 @@ void controller::enqueue_bulk(bulk_sequence seq) {
   pb.seq = std::move(seq);
   bulk_queue_.push_back(std::move(pb));
   count(counter::bulk_sequences);
-  plan_.reset();
+  changed();
 }
 
 counter_set controller::counters() const {
@@ -118,7 +125,7 @@ std::optional<command> controller::next_command(
 }
 
 template <typename Visit>
-void controller::for_each_candidate(Visit visit) const {
+bool controller::for_each_refresh_candidate(Visit& visit) const {
   const auto no_bulk = bulk_queue_.end();
   const auto no_request = queue_.end();
   for (int rk = 0; rk < org_.ranks; ++rk) {
@@ -131,15 +138,23 @@ void controller::for_each_candidate(Visit visit) const {
       if (!bank_locked(flat) &&
           visit(precharge_of(flat), source::refresh_pre, no_bulk,
                 no_request)) {
-        return;
+        return true;
       }
     }
     if (any_open) continue;
     command ref;
     ref.kind = command_kind::refresh;
     ref.addr.rank = rk;
-    if (visit(ref, source::refresh, no_bulk, no_request)) return;
+    if (visit(ref, source::refresh, no_bulk, no_request)) return true;
   }
+  return false;
+}
+
+template <typename Visit>
+void controller::for_each_candidate(Visit visit) const {
+  if (for_each_refresh_candidate(visit)) return;
+  const auto no_bulk = bulk_queue_.end();
+  const auto no_request = queue_.end();
   for (auto pb = bulk_queue_.begin(); pb != bulk_queue_.end(); ++pb) {
     if (!pb->started) {
       // A held bank or a rank awaiting refresh clears only when some
@@ -173,9 +188,7 @@ void controller::for_each_candidate(Visit visit) const {
   }
 }
 
-void controller::issue(const command& cmd, source from,
-                       std::deque<bulk_state>::iterator pb,
-                       std::deque<pending_request>::iterator pr) {
+void controller::place(const command& cmd) {
   checker_.issue(cmd, cycle_);
   switch (cmd.kind) {
     case command_kind::activate:
@@ -200,6 +213,12 @@ void controller::issue(const command& cmd, source from,
       count(counter::ref);
       break;
   }
+}
+
+void controller::issue(const command& cmd, source from,
+                       std::deque<bulk_state>::iterator pb,
+                       std::deque<pending_request>::iterator pr) {
+  place(cmd);
   switch (from) {
     case source::refresh_pre:
       count(counter::refresh_pre);
@@ -262,14 +281,18 @@ void controller::tick() {
   if (cycle_ >= next_refresh_) {
     next_refresh_ += timing_.trefi;
     std::fill(refresh_pending_.begin(), refresh_pending_.end(), 1);
-    plan_.reset();
+    changed();
   }
   // One command per cycle on the command bus: the one planned for this
   // cycle, if any. Ticks before a planned cycle issue nothing.
   if (!plan_ || plan_->at < cycle_) plan(cycle_);
-  if (plan_->at == cycle_) {
+  if (plan_->at == cycle_ && plan_->quiet) {
+    // A quiet command keeps the run's candidates (a run stopped short
+    // of it at the caller's limit or an executor deadline).
+    issue_quiet();
+  } else if (plan_->at == cycle_) {
     const planned_issue p = *plan_;
-    plan_.reset();
+    changed();
     if (p.issues) {
       const auto entry = static_cast<std::ptrdiff_t>(p.entry);
       issue(p.cmd, p.from,
@@ -283,7 +306,13 @@ void controller::tick() {
 }
 
 cycles controller::next_event_cycle() const {
-  if (!plan_ || plan_->at <= cycle_) plan(cycle_ + 1);
+  if (!plan_ || plan_->at <= cycle_) {
+    if (run_.valid) {
+      plan_from_run();
+    } else {
+      plan(cycle_ + 1);
+    }
+  }
   return plan_->at;
 }
 
@@ -311,6 +340,124 @@ void controller::plan(cycles soon) const {
   p.at = std::max(next, soon);
   p.issues = first <= p.at;
   plan_ = p;
+}
+
+void controller::collect_refresh_candidates() {
+  run_.refresh.clear();
+  auto collect = [this](const command& cmd, source from, auto, auto) {
+    run_.refresh.push_back({cmd, checker_.earliest(cmd), from});
+    return false;
+  };
+  for_each_refresh_candidate(collect);
+}
+
+void controller::collect_run() {
+  run_.refresh.clear();
+  run_.bulk.clear();
+  for_each_candidate([this](const command& cmd, source from, auto pb, auto) {
+    if (from == source::refresh_pre || from == source::refresh) {
+      run_.refresh.push_back({cmd, checker_.earliest(cmd), from});
+    } else if (from == source::bulk_pre) {
+      run_.bulk.push_back({cmd, checker_.earliest(cmd), from});
+    } else {
+      const auto entry = static_cast<std::size_t>(pb - bulk_queue_.begin());
+      bulk_state& seq = bulk_queue_[entry];
+      run_.bulk.push_back(
+          {cmd, checker_.earliest(cmd), from, entry, &seq,
+           seq.started && seq.next + 1 < seq.seq.commands.size()});
+    }
+    return false;
+  });
+  run_.bound = next_refresh_;
+  for (const completion& c : completions_) {
+    run_.bound = std::min(run_.bound, c.done);
+  }
+  run_.valid = true;
+}
+
+void controller::plan_from_run() const {
+  const cycles soon = cycle_ + 1;
+  cycles best = std::numeric_limits<cycles>::max();
+  const run_candidate* pick = nullptr;
+  // Nothing beats a candidate ready at `soon`: later ones lose the tie.
+  for (const run_candidate& c : run_.refresh) {
+    if (const cycles key = std::max(c.at, soon); key < best) {
+      best = key;
+      pick = &c;
+      if (key == soon) break;
+    }
+  }
+  bool bulk = false;
+  if (best > soon) {
+    for (const run_candidate& c : run_.bulk) {
+      if (const cycles key = std::max(c.at, soon); key < best) {
+        best = key;
+        pick = &c;
+        bulk = true;
+        if (key == soon) break;
+      }
+    }
+  }
+  planned_issue p;
+  if (pick != nullptr) {
+    p.cmd = pick->cmd;
+    p.from = pick->from;
+    p.entry = pick->entry;
+    p.slot = bulk ? static_cast<std::size_t>(pick - run_.bulk.data()) : 0;
+    p.quiet = bulk && pick->mid && best < run_.bound;
+  }
+  p.at = std::min(best, run_.bound);
+  p.issues = best <= run_.bound;
+#if PIM_VERIFY_ENABLED
+  // The walk picks the same command, and a quiet one neither starts
+  // nor finishes its sequence.
+  plan(soon);
+  const bulk_state* seq = p.quiet ? &bulk_queue_[p.entry] : nullptr;
+  if (plan_->at != p.at || plan_->issues != p.issues ||
+      (p.issues && (plan_->cmd != p.cmd || plan_->from != p.from ||
+                    plan_->entry != p.entry)) ||
+      (seq != nullptr &&
+       (!seq->started || seq->next + 1 == seq->seq.commands.size()))) {
+    throw std::logic_error("controller: quiet run disagrees with plan() at "
+                           "cycle " + std::to_string(cycle_));
+  }
+#endif
+  plan_ = p;
+}
+
+void controller::issue_quiet() {
+  run_candidate& own = run_.bulk[plan_->slot];
+  cycle_ = plan_->at;
+  plan_.reset();
+  const command cmd = own.cmd;
+  place(cmd);
+  bulk_state& pb = *own.seq;
+  ++pb.next;
+  // Re-compute what this command can move: its sequence's next
+  // command; after a RD/WR, every column command (the bus and tWTR);
+  // after an activation tRRD/tFAW constrain, the rank's activations;
+  // after a row opens or closes in a rank awaiting refresh, the
+  // refresh candidates.
+  own.cmd = pb.seq.commands[pb.next];
+  own.at = checker_.earliest(own.cmd);
+  own.mid = pb.next + 1 < pb.seq.commands.size();
+  if (is_column(cmd.kind)) {
+    for (run_candidate& c : run_.bulk) {
+      if (is_column(c.cmd.kind)) c.at = checker_.earliest(c.cmd);
+    }
+    return;
+  }
+  if (is_activation(cmd.kind) && checker_.power_constrained(cmd)) {
+    for (run_candidate& c : run_.bulk) {
+      if (is_activation(c.cmd.kind) && c.cmd.addr.rank == cmd.addr.rank) {
+        c.at = checker_.earliest(c.cmd);
+      }
+    }
+  }
+  if (cmd.kind != command_kind::copy_activate &&
+      refresh_pending_[static_cast<std::size_t>(cmd.addr.rank)]) {
+    collect_refresh_candidates();
+  }
 }
 
 void controller::jump_to(cycles cycle) {

@@ -1,6 +1,7 @@
 // Per-channel DRAM controller: FR-FCFS scheduling of host requests
 // (rows stay open until a conflict, a refresh or a bulk sequence closes
-// them), refresh management, and bulk in-DRAM operation sequencing.
+// them), refresh management, and bulk in-DRAM operation sequencing,
+// whose mid-sequence commands issue in quiet runs without a walk each.
 #ifndef PIM_DRAM_CONTROLLER_H
 #define PIM_DRAM_CONTROLLER_H
 
@@ -45,12 +46,47 @@ class controller {
   /// with the least earliest cycle. tick() then issues it without
   /// walking the candidates, and ticks before that cycle issue nothing;
   /// a repeated call returns the recorded cycle. enqueue, enqueue_bulk,
-  /// an issued command and the refresh deadline drop the record.
+  /// an issued command and the refresh deadline drop the record. While
+  /// a quiet run's candidates hold (next_quiet), the record is taken
+  /// from them instead of a walk.
   cycles next_event_cycle() const;
 
   /// Moves the clock to `cycle` without ticking the cycles passed over;
   /// each of them must hold no event (`cycle < next_event_cycle()`).
   void jump_to(cycles cycle);
+
+  /// Quiet runs. A command is quiet when it changes nothing outside
+  /// the controller, so busy_banks() and every completion hold across
+  /// it: a bulk command that neither starts nor finishes its sequence,
+  /// issued before the refresh deadline and before any completion is
+  /// due. A run issues them back to back, without a candidate walk or
+  /// a tick per command; ticking the same cycles would leave the same
+  /// state.
+  struct quiet_step {
+    cycles at = 0;       // next_event_cycle()
+    bool quiet = false;  // the event is a quiet command issued at `at`
+  };
+
+  /// The next event and whether it is a quiet command. The first call
+  /// after a change collects the candidates (for_each_candidate); a
+  /// quiet issue then re-computes only what its command can move, so
+  /// the collection serves the whole run. It also records the event
+  /// for tick() as next_event_cycle() does. While host requests are
+  /// queued nothing is quiet.
+  quiet_step next_quiet() {
+    if (!queue_.empty()) return {next_event_cycle(), false};
+    if (!run_.valid) collect_run();
+    // A record plan() walked for is never quiet; the run takes over
+    // after the next issue.
+    if (!plan_ || plan_->at <= cycle_) plan_from_run();
+    return {plan_->at, plan_->quiet};
+  }
+
+  /// Issues the quiet command next_quiet() found, at its cycle, moving
+  /// the clock there; tick() does the same when that cycle's event is
+  /// a quiet command. Builds with PIM_VERIFY check each step the run's
+  /// candidates choose against plan()'s full walk.
+  void issue_quiet();
 
   /// True when no request or bulk work is pending or in flight.
   bool idle() const;
@@ -97,13 +133,43 @@ class controller {
 
   /// plan()'s record: tick() changes nothing before `at` and, when
   /// `issues`, issues `cmd` at `at`. `entry` indexes the bulk_queue_ or
-  /// queue_ entry a bulk or request command advances.
+  /// queue_ entry a bulk or request command advances. A record taken
+  /// from the quiet run (plan_from_run) also names the run_.bulk
+  /// candidate in `slot` and tells whether the command is quiet.
   struct planned_issue {
     cycles at = 0;
     bool issues = false;
+    bool quiet = false;
     command cmd;
     source from = source::request;
     std::size_t entry = 0;
+    std::size_t slot = 0;
+  };
+
+  /// One candidate of a quiet run: a command, its earliest cycle, the
+  /// bulk_queue_ entry it advances (source::bulk; `seq` points at it)
+  /// and whether it is a started sequence's command that does not
+  /// finish it.
+  struct run_candidate {
+    command cmd;
+    cycles at = 0;
+    source from = source::bulk;
+    std::size_t entry = 0;
+    bulk_state* seq = nullptr;
+    bool mid = false;
+  };
+
+  /// The candidates for_each_candidate yields, in its order, while no
+  /// host request is queued: the refresh ones apart, because they are
+  /// collected again after a row opens or closes in a rank awaiting
+  /// refresh. `bound` is the refresh deadline or the first completion,
+  /// if earlier. Valid until something other than a quiet issue
+  /// changes the controller.
+  struct quiet_run {
+    bool valid = false;
+    cycles bound = 0;
+    std::vector<run_candidate> refresh;
+    std::vector<run_candidate> bulk;
   };
 
   /// Calls visit(cmd, source, bulk, request) for every command tick()
@@ -119,6 +185,11 @@ class controller {
   template <typename Visit>
   void for_each_candidate(Visit visit) const;
 
+  /// The refresh part of for_each_candidate; true when visit stopped
+  /// the walk.
+  template <typename Visit>
+  bool for_each_refresh_candidate(Visit& visit) const;
+
   /// Records in plan_ the earliest cycle >= `soon` at which tick()
   /// could change any state, and the command tick() issues then, if
   /// any: the first candidate ready at `soon` if there is one, else the
@@ -126,6 +197,22 @@ class controller {
   /// now + 1; tick() plans for the cycle it enters when no record
   /// covers that cycle.
   void plan(cycles soon) const;
+
+  /// Records in plan_ what plan(now + 1) would, from run_: the
+  /// candidate with the least max(earliest, now + 1), walk order
+  /// breaking ties.
+  void plan_from_run() const;
+
+  /// Collects run_'s candidates: the refresh ones, or all of them.
+  void collect_refresh_candidates();
+  void collect_run();
+
+  /// Drops plan()'s record and the quiet run: state other than a
+  /// quiet issue's changed.
+  void changed() {
+    plan_.reset();
+    run_.valid = false;
+  }
 
   int flat_bank(const address& a) const {
     return a.rank * org_.banks + a.bank;
@@ -136,6 +223,8 @@ class controller {
   bool bank_open(int flat) const;
   void set_locked(const bulk_state& pb, bool locked);
   void count(counter c) { ++counts_[static_cast<std::size_t>(c)]; }
+  /// Places `cmd` on the bus this cycle and counts it by kind.
+  void place(const command& cmd);
   command precharge_of(int flat) const;
 
   /// An unstarted sequence waits while a bank it touches is held or a
@@ -176,6 +265,8 @@ class controller {
 
   // plan()'s record, if it still holds.
   mutable std::optional<planned_issue> plan_;
+
+  quiet_run run_;
 
   std::vector<completion> completions_;
 

@@ -14,7 +14,8 @@ memory_system::memory_system(const organization& org,
     : org_(org),
       timing_(timing),
       mapper_(org, mapping_policy::row_bank_column),
-      zero_row_(org.row_bits()) {
+      zero_row_(org.row_bits()),
+      quiet_steps_(static_cast<std::size_t>(org.channels)) {
   organization channel_org = org;
   channel_org.channels = 1;
   channels_.reserve(static_cast<std::size_t>(org.channels));
@@ -50,10 +51,40 @@ void memory_system::jump_to(cycles cycle) {
   for (auto& ch : channels_) ch->jump_to(cycle);
 }
 
+cycles memory_system::run_quiet(cycles until) {
+  const cycles start = now_cycles();
+  for (;;) {
+    // The least next event over the channels, quiet only if every
+    // channel's event at that cycle is.
+    cycles at = until;
+    bool quiet = false;
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+      const controller::quiet_step next = channels_[c]->next_quiet();
+      quiet_steps_[c] = next;
+      if (next.at < at) {
+        at = next.at;
+        quiet = next.quiet;
+      } else if (next.at == at) {
+        quiet = quiet && next.quiet;
+      }
+    }
+    if (!quiet) break;
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+      if (quiet_steps_[c].at == at) {
+        channels_[c]->issue_quiet();
+      } else {
+        channels_[c]->jump_to(at);
+      }
+    }
+  }
+  return now_cycles() - start;
+}
+
 cycles memory_system::drain(cycles max_cycles) {
   const cycles start = now_cycles();
   const cycles limit = start + max_cycles;
   while (!idle() && now_cycles() < limit) {
+    run_quiet(limit);
     jump_to(std::min(next_event_cycle(), limit) - 1);
     tick();
   }

@@ -39,11 +39,22 @@ class memory_system {
   cycles next_event_cycle() const;
 
   /// Moves every channel clock to `cycle` together, without ticking;
-  /// the cycles passed over must hold no event.
+  /// the cycles passed over must hold no event (a quiet command is
+  /// one: run_quiet issues it).
   void jump_to(cycles cycle);
 
+  /// Issues the quiet run that starts now (controller::next_quiet):
+  /// while the next event of every channel that has one at the least
+  /// cycle is a quiet command, and that cycle is before `until`, issues
+  /// those commands and moves every channel clock there. Nothing
+  /// outside the controllers changes, so busy_banks() holds and no
+  /// callback runs; ticking the same cycles would leave the same
+  /// state. Returns the number of cycles advanced.
+  cycles run_quiet(cycles until);
+
   /// Advances until all channels are idle or `max_cycles` elapses,
-  /// ticking only event cycles; returns the number of cycles advanced.
+  /// running quiet runs and ticking only the other event cycles;
+  /// returns the number of cycles advanced.
   cycles drain(cycles max_cycles = 100'000'000);
 
   bool idle() const;
@@ -86,6 +97,8 @@ class memory_system {
   std::vector<std::unique_ptr<controller>> channels_;
   std::unordered_map<std::uint64_t, bitvector> rows_;
   bitvector zero_row_;
+  // run_quiet's step per channel.
+  std::vector<controller::quiet_step> quiet_steps_;
 };
 
 /// DRAM energy broken into components, in picojoules.

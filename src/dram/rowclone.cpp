@@ -59,6 +59,7 @@ void rowclone_engine::copy_psm(const address& src, const address& dst,
   validate_copy(src, dst, /*same_subarray=*/false);
 
   bulk_sequence seq;
+  seq.commands.reserve(2 * static_cast<std::size_t>(mem_.org().columns) + 4);
   seq.commands.push_back({command_kind::activate, src, /*bulk=*/true});
   command dst_act{command_kind::activate, dst, /*bulk=*/true};
   seq.commands.push_back(dst_act);

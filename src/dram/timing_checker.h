@@ -60,6 +60,12 @@ class timing_checker {
 
   const timing_params& timing() const { return timing_; }
 
+  /// True when tRRD/tFAW constrain an activation `cmd` (a bulk one is
+  /// exempt when the checker was built so).
+  bool power_constrained(const command& cmd) const {
+    return !(cmd.bulk && bulk_power_exempt_);
+  }
+
  private:
   struct bank_state {
     bank_status status = bank_status::precharged;
@@ -91,9 +97,6 @@ class timing_checker {
   }
   const rank_state& rank(const command& cmd) const {
     return ranks_[static_cast<std::size_t>(cmd.addr.rank)];
-  }
-  bool power_constrained(const command& cmd) const {
-    return !(cmd.bulk && bulk_power_exempt_);
   }
 
   organization org_;

@@ -14,6 +14,19 @@
 
 namespace pim::net {
 
+namespace {
+
+const char* message_name(std::uint8_t code) {
+  const char* name = "unknown";
+  for_each_message([&](auto type) {
+    using M = typename decltype(type)::type;
+    if (M::code == code) name = M::name;
+  });
+  return name;
+}
+
+}  // namespace
+
 remote_client::remote_client(const std::string& host, std::uint16_t port,
                              double weight) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -81,8 +94,10 @@ remote_client::~remote_client() {
   fail_pending("client destroyed");
 }
 
+template <typename Request>
 service::request_future remote_client::send_request(
-    const net_message& msg, std::shared_ptr<net_message> reply) {
+    const Request& req, std::shared_ptr<net_message> reply) {
+  const net_message msg = req;
   auto state = std::make_shared<service::request_state>();
   service::request_future future(state);
   // Request ids come from the process-wide flow counter (never zero,
@@ -105,7 +120,8 @@ service::request_future remote_client::send_request(
     if (lost_ || closing_) {
       throw std::runtime_error("remote_client: connection lost");
     }
-    pending_.emplace(id, pending_entry{state, std::move(reply)});
+    pending_.emplace(id, pending_entry{state, std::move(reply),
+                                       Request::response::code});
     outbox_.push_back(std::move(frame));
   }
   out_cv_.notify_all();
@@ -162,7 +178,7 @@ void remote_client::reader_loop() {
   obs::tracer::instance().name_thread("pim-net", "client reader");
   auto& rx_bytes =
       obs::metrics_registry::instance().counter("net.client.rx_bytes");
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   std::vector<std::uint8_t> buf(1 << 16);
   std::string reason = "connection closed by server";
   for (;;) {
@@ -186,6 +202,16 @@ void remote_client::reader_loop() {
             if (err != nullptr) throw std::runtime_error(err->message);
             throw protocol_error("response to unknown request " +
                                  std::to_string(f->id));
+          }
+          // A reply other than the declared response or an error is a
+          // protocol error, never an empty result.
+          const std::uint8_t code = std::visit(
+              [](const auto& m) { return std::decay_t<decltype(m)>::code; },
+              f->msg);
+          if (code != it->second.response && code != error_resp::code) {
+            throw protocol_error(std::string(message_name(code)) +
+                                 " answers a request expecting " +
+                                 message_name(it->second.response));
           }
           entry = std::move(it->second);
           pending_.erase(it);

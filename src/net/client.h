@@ -98,11 +98,15 @@ class remote_client final : public service::client_api {
     /// Raw reply for control responses (opened, metrics, trace,
     /// snapshot) that do not map onto request_result.
     std::shared_ptr<net_message> reply;
+    /// Opcode of the request's declared response: the one reply,
+    /// besides error_resp, the reader accepts for it.
+    std::uint8_t response = 0;
   };
 
   /// Registers a pending id, enqueues the frame on the outbox, returns
   /// the future.
-  service::request_future send_request(const net_message& msg,
+  template <typename Request>
+  service::request_future send_request(const Request& req,
                                        std::shared_ptr<net_message> reply);
   std::uint64_t trace_ctl(trace_ctl_req::action_kind action,
                           std::string* json);

@@ -305,11 +305,11 @@ std::optional<net_frame> frame_splitter::next() {
   if (length > max_frame_bytes) throw protocol_error("oversized frame");
   // Every payload carries at least version + id + opcode.
   if (length < 10) throw protocol_error("runt frame");
-  if (avail < 8 + static_cast<std::size_t>(length)) return std::nullopt;
+  // Those decide whether the frame is refused before its body is
+  // buffered or read.
+  if (avail < 8 + 10) return std::nullopt;
 
   reader in{buf_.data() + pos_ + 8, length, 0};
-  pos_ += 8 + length;
-
   if (const auto version = in.read<std::uint8_t>(); version != wire_version) {
     throw protocol_error("unsupported version " + std::to_string(version) +
                          " (this build speaks " +
@@ -323,10 +323,22 @@ std::optional<net_frame> frame_splitter::next() {
   for_each_message([&](auto type) {
     using M = typename decltype(type)::type;
     if (M::code != code) return;
-    M::fields(frame.msg.emplace<M>(), in);
     known = true;
+    if (is_request<M> != (side_ == wire_side::server)) {
+      throw protocol_error(
+          std::string(is_request<M> ? "request " : "response ") + M::name +
+          " sent to the " +
+          (side_ == wire_side::server ? "server" : "client"));
+    }
   });
   if (!known) throw protocol_error("unknown opcode");
+  if (avail < 8 + static_cast<std::size_t>(length)) return std::nullopt;
+  pos_ += 8 + length;
+
+  for_each_message([&](auto type) {
+    using M = typename decltype(type)::type;
+    if (M::code == code) M::fields(frame.msg.emplace<M>(), in);
+  });
   if (in.pos != in.size) throw protocol_error("trailing bytes in frame");
   return frame;
 }

@@ -33,8 +33,9 @@
 // encode_frame/frame_splitter round-trip on plain byte buffers with no
 // socket involved — which is how the framing tests exercise every
 // message type and every malformed-input path (bad magic, oversized
-// length, wrong version, truncated body, unknown opcode or enum, task
-// report stamps that do not telescope) deterministically.
+// length, wrong version, a message sent the wrong way, truncated body,
+// unknown opcode or enum, task report stamps that do not telescope)
+// deterministically.
 #ifndef PIM_NET_PROTOCOL_H
 #define PIM_NET_PROTOCOL_H
 
@@ -351,6 +352,10 @@ struct snapshot_req {
   static void fields(auto& m, auto&& f) { f(m.slow_threshold_ns); }
 };
 
+/// True for a request: it declares the response that answers it.
+template <typename M>
+inline constexpr bool is_request = requires { typename M::response; };
+
 using net_message =
     std::variant<open_session_req, close_session_req, allocate_req, write_req,
                  read_req, submit_req, submit_shared_req, wait_req,
@@ -388,13 +393,23 @@ struct net_frame {
 std::vector<std::uint8_t> encode_frame(std::uint64_t id,
                                        const net_message& msg);
 
+/// The end of a connection a frame_splitter decodes for: requests
+/// travel to the server, responses to the client.
+enum class wire_side { server, client };
+
 /// Incremental frame decoder over a byte stream. Feed whatever the
 /// socket produced; next() pops complete frames one at a time,
 /// returning nullopt while the buffered prefix is still incomplete
 /// (trailing partial frames are not an error — more bytes may arrive)
-/// and throwing protocol_error on grammar violations.
+/// and throwing protocol_error on grammar violations. A splitter
+/// decodes for one side: it refuses a message that side may not
+/// receive (a response sent to the server, a request sent to the
+/// client) from the frame's opcode byte, before its body is buffered
+/// or read, naming the message and the direction.
 class frame_splitter {
  public:
+  explicit frame_splitter(wire_side side) : side_(side) {}
+
   void feed(const std::uint8_t* data, std::size_t size);
   std::optional<net_frame> next();
 
@@ -407,6 +422,7 @@ class frame_splitter {
   std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
+  wire_side side_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
   std::uint64_t last_id_ = 0;

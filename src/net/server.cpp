@@ -490,9 +490,8 @@ void pim_server::accept_loop(const int listen_fd) {
                   resp.events = t.event_count();
                   enqueue_frame(*dx, id, std::move(resp));
                 } else {
-                  // A response opcode arriving at the server is a
-                  // protocol violation, not a failed request.
-                  throw protocol_error("response opcode sent to server");
+                  // The server's splitter refuses every response.
+                  static_assert(!is_request<T>, "unhandled request");
                 }
               },
               f.msg);
@@ -510,7 +509,7 @@ void pim_server::accept_loop(const int listen_fd) {
           obs::metrics_registry::instance().counter("net.server.rx_bytes");
       auto& rx_frames =
           obs::metrics_registry::instance().counter("net.server.rx_frames");
-      frame_splitter splitter;
+      frame_splitter splitter(wire_side::server);
       std::vector<std::uint8_t> buf(1 << 16);
       for (;;) {
         const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);

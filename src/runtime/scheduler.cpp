@@ -1,6 +1,7 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -490,8 +491,8 @@ void scheduler::tick() {
   process_completions();
 }
 
-cycles scheduler::next_event_cycle() const {
-  cycles next = mem_.next_event_cycle();
+cycles scheduler::next_deadline_cycle() const {
+  cycles next = std::numeric_limits<cycles>::max();
   // tick() finishes a run in the first cycle whose time reaches its
   // deadline.
   const picoseconds tck = mem_.timing().tck_ps;
@@ -500,20 +501,28 @@ cycles scheduler::next_event_cycle() const {
       next = std::min(next, (deadline + tck - 1) / tck);
     }
   }
-  return std::max(next, mem_.now_cycles() + 1);
+  return next;
+}
+
+cycles scheduler::next_event_cycle() const {
+  return std::max(std::min(mem_.next_event_cycle(), next_deadline_cycle()),
+                  mem_.now_cycles() + 1);
 }
 
 template <typename Done>
 bool scheduler::run_until(cycles limit, Done done) {
   while (!done()) {
-    const cycles now = mem_.now_cycles();
-    if (now >= limit) return false;
+    const cycles start = mem_.now_cycles();
+    if (start >= limit) return false;
+    // Quiet commands and the cycles between them change nothing outside
+    // the memory system, nor do the cycles skipped before `next`:
+    // busy_banks() holds, so they add to the stats exactly what
+    // ticking them would.
+    mem_.run_quiet(std::min(limit, next_deadline_cycle()));
     const cycles next = std::min(next_event_cycle(), limit);
-    // Nothing changes before `next`: busy_banks() holds, so the skipped
-    // cycles add to the stats exactly what ticking them would.
-    const auto gap = static_cast<std::uint64_t>(next - now - 1);
-    stats_.ticks += gap;
-    stats_.busy_bank_ticks += gap * mem_.busy_banks();
+    const auto passed = static_cast<std::uint64_t>(next - start - 1);
+    stats_.ticks += passed;
+    stats_.busy_bank_ticks += passed * mem_.busy_banks();
     mem_.jump_to(next - 1);
     tick();
   }

@@ -165,14 +165,20 @@ class scheduler {
   void apply_host_result(const node& n);
   void process_completions();
 
+  /// First cycle at which tick() finishes an executor run (max when
+  /// none runs).
+  cycles next_deadline_cycle() const;
+
   /// Earliest cycle at which tick() could change any state: the memory
   /// system's next event or an executor-pool deadline.
   cycles next_event_cycle() const;
 
   /// The event loop behind wait, wait_all and advance: until `done()`,
-  /// jumps over the cycles before the next event (capped at `limit`),
-  /// counting them into the stats as tick() would, then ticks it.
-  /// Returns false if `limit` is reached first.
+  /// issues the memory system's quiet run before the next executor
+  /// deadline and `limit` (memory_system::run_quiet), jumps over the
+  /// cycles before the next event (capped at `limit`), counting both
+  /// into the stats as tick() would, then ticks that event. Returns
+  /// false if `limit` is reached first.
   template <typename Done>
   bool run_until(cycles limit, Done done);
 

@@ -1,26 +1,12 @@
-// Umbrella header of the static verification layer.
-//
-// PIM_VERIFY_ENABLED decides whether the hot-path producers
-// (query::plan_query, pim_service::submit_cross) check what they just
-// built and assert_ok() the report. It defaults to the build type —
-// on in debug, off (zero code, zero cost) in release — and the CMake
-// cache variable PIM_VERIFY=ON/OFF/AUTO overrides it per build tree,
-// which is how CI turns it on under sanitizers and the
-// release-parity test proves digests are identical either way.
+// Umbrella header of the static verification layer. PIM_VERIFY_ENABLED
+// (verify/enabled.h) decides whether the hot paths check themselves.
 //
 // tools/pim_lint and the tests call the checkers directly; they do
 // not consult this flag.
 #ifndef PIM_VERIFY_VERIFY_H
 #define PIM_VERIFY_VERIFY_H
 
-#ifndef PIM_VERIFY_ENABLED
-#ifdef NDEBUG
-#define PIM_VERIFY_ENABLED 0
-#else
-#define PIM_VERIFY_ENABLED 1
-#endif
-#endif
-
+#include "verify/enabled.h"
 #include "verify/diagnostics.h"
 #include "verify/graph_check.h"
 #include "verify/plan_check.h"

@@ -15,7 +15,7 @@ wire_schema_info canonical_wire_schema() {
   net::for_each_message([&s](auto type) {
     using M = typename decltype(type)::type;
     opcode_info op{M::code, M::name, false, 0};
-    if constexpr (requires { typename M::response; }) {
+    if constexpr (net::is_request<M>) {
       op.request = true;
       op.response = M::response::code;
     }

@@ -416,7 +416,7 @@ runtime::task_report stamped_report() {
 }
 
 net_frame decode_one(const std::vector<std::uint8_t>& wire) {
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(wire.data(), wire.size());
   auto f = splitter.next();
   EXPECT_TRUE(f.has_value());

@@ -368,7 +368,7 @@ TEST(SchedulerMeterTest, MeteringOffIsFreeAndTransparent) {
 
 net::net_frame wire_roundtrip(const net::net_message& msg) {
   const std::vector<std::uint8_t> bytes = net::encode_frame(99, msg);
-  net::frame_splitter splitter;
+  net::frame_splitter splitter(net::wire_side::client);
   splitter.feed(bytes.data(), bytes.size());
   auto frame = splitter.next();
   EXPECT_TRUE(frame.has_value());

@@ -57,9 +57,20 @@ bitvector sample_bits(std::size_t size, std::uint64_t seed) {
   return bitvector::random(size, gen);
 }
 
+/// The side `msg` travels to: requests to the server, responses to the
+/// client.
+wire_side receiver(const net_message& msg) {
+  return std::visit(
+      [](const auto& m) {
+        return is_request<std::decay_t<decltype(m)>> ? wire_side::server
+                                                     : wire_side::client;
+      },
+      msg);
+}
+
 net_frame roundtrip(std::uint64_t id, const net_message& msg) {
   const std::vector<std::uint8_t> wire = encode_frame(id, msg);
-  frame_splitter splitter;
+  frame_splitter splitter(receiver(msg));
   splitter.feed(wire.data(), wire.size());
   std::optional<net_frame> frame = splitter.next();
   EXPECT_TRUE(frame.has_value());
@@ -249,7 +260,7 @@ TEST(protocol, accepts_the_whole_supported_version_range) {
                                std::uint8_t{5}}) {
     std::vector<std::uint8_t> wire = good;
     wire[8] = v;
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::server);
     splitter.feed(wire.data(), wire.size());
     if (v == wire_version) {
       EXPECT_TRUE(splitter.next().has_value());
@@ -266,7 +277,7 @@ TEST(protocol, reassembles_frames_split_across_feeds) {
   req.data = sample_bits(req.v.size, 5);
   const std::vector<std::uint8_t> wire = encode_frame(99, req);
 
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   // One byte at a time: next() must return nullopt until the last byte.
   for (std::size_t i = 0; i + 1 < wire.size(); ++i) {
     splitter.feed(&wire[i], 1);
@@ -285,7 +296,7 @@ TEST(protocol, pops_pipelined_frames_in_order) {
     const auto f = encode_frame(id, wait_req{});
     wire.insert(wire.end(), f.begin(), f.end());
   }
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   for (std::uint64_t id = 1; id <= 5; ++id) {
     const auto frame = splitter.next();
@@ -302,7 +313,7 @@ TEST(protocol, pops_pipelined_frames_in_order) {
 TEST(protocol, rejects_bad_magic) {
   std::vector<std::uint8_t> wire = encode_frame(1, wait_req{});
   wire[0] ^= 0xff;
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
 }
@@ -311,7 +322,7 @@ TEST(protocol, rejects_oversized_length) {
   std::vector<std::uint8_t> wire = encode_frame(1, wait_req{});
   const std::uint32_t huge = max_frame_bytes + 1;
   std::memcpy(wire.data() + 4, &huge, 4);  // little-endian host in tests
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
 }
@@ -320,7 +331,7 @@ TEST(protocol, rejects_runt_frame) {
   std::vector<std::uint8_t> wire = encode_frame(1, wait_req{});
   const std::uint32_t tiny = 4;  // below version+id+opcode
   std::memcpy(wire.data() + 4, &tiny, 4);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
 }
@@ -337,7 +348,7 @@ TEST(protocol, rejects_truncated_body) {
   const std::uint32_t shorter = declared - 9;  // drop one word + 1 byte
   std::memcpy(wire.data() + 4, &shorter, 4);
   wire.resize(8 + shorter);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
   EXPECT_EQ(splitter.last_id(), 7u);  // failed after the id was read
@@ -356,7 +367,7 @@ TEST(protocol, rejects_bitvector_larger_than_its_frame_before_allocating) {
   const std::uint64_t declared = std::uint64_t{1} << 29;
   const std::size_t size_at = wire.size() - 8 * req.data.word_count() - 8;
   std::memcpy(wire.data() + size_at, &declared, 8);  // little-endian host
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   try {
     splitter.next();
@@ -373,7 +384,7 @@ TEST(protocol, rejects_unknown_opcode) {
   for (const std::uint8_t op : {0xee, 9, 70, 10, 72, 13, 75}) {
     std::vector<std::uint8_t> wire = encode_frame(3, wait_req{});
     wire[8 + 1 + 8] = op;  // opcode byte after version + id
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::server);
     splitter.feed(wire.data(), wire.size());
     EXPECT_THROW(splitter.next(), protocol_error) << int{op};
     EXPECT_EQ(splitter.last_id(), 3u);
@@ -392,7 +403,7 @@ TEST(protocol, rejects_unknown_report_enums) {
   for (const std::size_t field : {report_at + 12, report_at + 13}) {
     std::vector<std::uint8_t> wire = done_frame({});
     wire[field] = 9;
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::client);
     splitter.feed(wire.data(), wire.size());
     EXPECT_THROW(splitter.next(), protocol_error) << field;
   }
@@ -407,13 +418,13 @@ TEST(protocol, rejects_report_stamps_that_do_not_telescope) {
   r.complete_ps = 50;
   {
     const auto wire = done_frame(r);
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::client);
     splitter.feed(wire.data(), wire.size());
     EXPECT_TRUE(splitter.next().has_value());
   }
   r.release_ps = 45;  // released after it started
   const auto wire = done_frame(r);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
   EXPECT_EQ(splitter.last_id(), 5u);
@@ -425,7 +436,7 @@ TEST(protocol, rejects_trailing_bytes_in_frame) {
   wire.push_back(0xab);
   const std::uint32_t longer = static_cast<std::uint32_t>(wire.size() - 8);
   std::memcpy(wire.data() + 4, &longer, 4);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
 }
@@ -625,7 +636,7 @@ TEST(protocol, every_message_frame_matches_golden_bytes) {
   EXPECT_EQ(covered.size(), std::variant_size_v<net_message>);
   for (const sample_frame& s : frames) {
     EXPECT_EQ(to_hex(encode_frame(sample_id, s.msg)), s.hex) << s.name;
-    frame_splitter splitter;
+    frame_splitter splitter(receiver(s.msg));
     const std::vector<std::uint8_t> wire = from_hex(s.hex);
     splitter.feed(wire.data(), wire.size());
     const std::optional<net_frame> f = splitter.next();
@@ -641,12 +652,13 @@ TEST(protocol, mutated_frames_are_refused_or_reencode_stably) {
   // empty body is mutated too) of every sample frame, 20,000 times per
   // frame. Each mutant must throw protocol_error or decode to a
   // message whose encoding decodes and encodes to the same bytes; any
-  // other exception fails the test. The counts were recorded at the
-  // version 4 codec: a decoder that accepts or refuses one more mutant
-  // changes them.
+  // other exception fails the test. Each mutant goes to the side its
+  // sample travels to, which refuses a message of the other direction.
+  // The counts were recorded at the version 4 codec: a decoder that
+  // accepts or refuses one more mutant changes them.
   constexpr std::size_t opcode_at = 8 + 1 + 8;
-  auto decode = [](const std::vector<std::uint8_t>& wire) {
-    frame_splitter splitter;
+  auto decode = [](const std::vector<std::uint8_t>& wire, wire_side side) {
+    frame_splitter splitter(side);
     splitter.feed(wire.data(), wire.size());
     std::optional<net_frame> f = splitter.next();
     if (!f) throw std::logic_error("whole frame not decoded");
@@ -665,7 +677,7 @@ TEST(protocol, mutated_frames_are_refused_or_reencode_stably) {
       }
       net_frame f;
       try {
-        f = decode(wire);
+        f = decode(wire, receiver(s.msg));
       } catch (const protocol_error&) {
         ++refused;
         continue;
@@ -674,12 +686,12 @@ TEST(protocol, mutated_frames_are_refused_or_reencode_stably) {
       }
       ++accepted;
       const std::vector<std::uint8_t> once = encode_frame(f.id, f.msg);
-      ASSERT_EQ(encode_frame(f.id, decode(once).msg), once)
+      ASSERT_EQ(encode_frame(f.id, decode(once, receiver(s.msg)).msg), once)
           << s.name << " trial " << trial;
     }
   }
-  EXPECT_EQ(accepted, 264'848u);
-  EXPECT_EQ(refused, 195'152u);
+  EXPECT_EQ(accepted, 264'213u);
+  EXPECT_EQ(refused, 195'787u);
 }
 
 // ---------------------------------------------------------------------------
@@ -766,7 +778,7 @@ TEST(pim_server, answers_garbage_with_error_frame_and_closes) {
   // The server must answer with a well-formed error frame, then close.
   const std::vector<std::uint8_t> reply = drain_socket(fd);
   ::close(fd);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(reply.data(), reply.size());
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
@@ -819,7 +831,7 @@ TEST(pim_server, survives_truncated_and_oversized_frames) {
     ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
     const auto reply = drain_socket(fd);
     ::close(fd);
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::client);
     splitter.feed(reply.data(), reply.size());
     const auto frame = splitter.next();
     ASSERT_TRUE(frame.has_value());
@@ -850,7 +862,7 @@ TEST(pim_server, rejects_requests_for_foreign_sessions) {
   std::uint8_t buf[4096];
   const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
   ASSERT_GT(n, 0);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(buf, static_cast<std::size_t>(n));
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
@@ -882,7 +894,7 @@ TEST(pim_server, rejects_mismatched_major_version_with_error_frame) {
   ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
   const std::vector<std::uint8_t> reply = drain_socket(fd);
   ::close(fd);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(reply.data(), reply.size());
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
@@ -891,6 +903,41 @@ TEST(pim_server, rejects_mismatched_major_version_with_error_frame) {
                 "unsupported version " + std::to_string(wire_version - 1)),
             std::string::npos)
       << std::get<error_resp>(frame->msg).message;
+  EXPECT_FALSE(splitter.next().has_value());
+  EXPECT_EQ(splitter.buffered(), 0u);
+
+  // Other connections are unaffected.
+  remote_client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.allocate(8192, 1).size(), 1u);
+  server.stop();
+}
+
+TEST(pim_server, refuses_a_response_from_its_opcode) {
+  pim_server server(small_server_config());
+  server.start();
+
+  // A vectors frame (a response) whose body stops after its count. The
+  // server refuses it from the opcode byte, naming the message and the
+  // direction, without reading the body; then it hangs up.
+  vectors_resp resp;
+  resp.vectors = {sample_vector(1), sample_vector(2)};
+  std::vector<std::uint8_t> wire = encode_frame(3, resp);
+  constexpr std::size_t count_end = 8 + 1 + 8 + 1 + 4;
+  const auto shorter = static_cast<std::uint32_t>(count_end - 8);
+  std::memcpy(wire.data() + 4, &shorter, 4);  // little-endian host
+  wire.resize(count_end);
+  const int fd = connect_raw(server.port());
+  ASSERT_GT(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL), 0);
+  const std::vector<std::uint8_t> reply = drain_socket(fd);
+  ::close(fd);
+  frame_splitter splitter(wire_side::client);
+  splitter.feed(reply.data(), reply.size());
+  const auto frame = splitter.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->id, 3u);
+  ASSERT_TRUE(std::holds_alternative<error_resp>(frame->msg));
+  EXPECT_EQ(std::get<error_resp>(frame->msg).message,
+            "protocol error: response vectors sent to the server");
   EXPECT_FALSE(splitter.next().has_value());
   EXPECT_EQ(splitter.buffered(), 0u);
 
@@ -1104,7 +1151,7 @@ TEST(protocol, rejects_truncated_snapshot_body) {
   const std::uint32_t shorter = declared - 6;
   std::memcpy(wire.data() + 4, &shorter, 4);
   wire.resize(8 + shorter);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::server);
   splitter.feed(wire.data(), wire.size());
   EXPECT_THROW(splitter.next(), protocol_error);
   EXPECT_EQ(splitter.last_id(), 9u);
@@ -1130,7 +1177,7 @@ TEST(pim_server, malformed_snapshot_body_answers_error_and_closes) {
             static_cast<ssize_t>(wire.size()));
   const std::vector<std::uint8_t> reply = drain_socket(fd);  // until EOF
   ::close(fd);
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   splitter.feed(reply.data(), reply.size());
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
@@ -1170,7 +1217,7 @@ TEST(pim_server, trace_dump_naming_a_file_is_refused_and_writes_nothing) {
   pim_server server(small_server_config());
   server.start();
   const int fd = connect_raw(server.port());
-  frame_splitter splitter;
+  frame_splitter splitter(wire_side::client);
   auto ask = [&](std::uint64_t id, const std::string& named) {
     const auto wire =
         encode_frame(id, trace_ctl_req{trace_ctl_req::dump, named});
@@ -1232,7 +1279,7 @@ TEST(remote_client, first_frame_opens_the_session) {
   std::optional<net_frame> first;
   std::thread peer([&] {
     const int fd = ::accept(listener.fd, nullptr, nullptr);
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::server);
     first = read_frame(fd, splitter);
     if (first && std::holds_alternative<open_session_req>(first->msg)) {
       send_all(fd, encode_frame(first->id, opened_resp{77, 1}));
@@ -1259,7 +1306,7 @@ TEST(remote_client, frame_answering_no_request_ends_the_connection) {
   raw_listener listener;
   std::thread peer([&] {
     const int fd = ::accept(listener.fd, nullptr, nullptr);
-    frame_splitter splitter;
+    frame_splitter splitter(wire_side::server);
     if (auto open = read_frame(fd, splitter)) {
       std::vector<std::uint8_t> out = encode_frame(open->id, opened_resp{});
       const std::vector<std::uint8_t> stray = encode_frame(0, waited_resp{});
@@ -1276,6 +1323,40 @@ TEST(remote_client, frame_answering_no_request_ends_the_connection) {
     EXPECT_NO_THROW(client.emplace("127.0.0.1", listener.port));
     if (client) {
       EXPECT_THROW(client->barrier(), std::runtime_error);
+    }
+  }
+  peer.join();
+}
+
+TEST(remote_client, reply_of_the_wrong_kind_fails_the_request) {
+  // A stand-in server that answers a submit with waited, a reply only
+  // a wait request may get. The submit's future must fail with a
+  // protocol error, not complete with an empty report.
+  raw_listener listener;
+  std::thread peer([&] {
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    frame_splitter splitter(wire_side::server);
+    if (auto open = read_frame(fd, splitter)) {
+      send_all(fd, encode_frame(open->id, opened_resp{5, 0}));
+      if (auto submit = read_frame(fd, splitter)) {
+        send_all(fd, encode_frame(submit->id, waited_resp{}));
+      }
+      drain_socket(fd);  // until the client hangs up
+    }
+    ::close(fd);
+  });
+  {
+    remote_client client("127.0.0.1", listener.port);
+    const dram::bulk_vector v = sample_vector(1);
+    service::request_future f =
+        client.submit_bulk(dram::bulk_op::not_op, v, nullptr, v);
+    try {
+      f.get();
+      ADD_FAILURE() << "a waited reply completed a submit";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "service request failed: protocol error: waited answers "
+                   "a request expecting done");
     }
   }
   peer.join();

@@ -592,18 +592,21 @@ struct clock_run {
   std::vector<cycles> drains;
   std::vector<bitvector> rows;
   cycles end_cycle = 0;
+  // Ticking every cycle only: busy banks and bulk RDs issued so far at
+  // each refresh deadline.
+  std::vector<std::pair<std::size_t, std::uint64_t>> at_deadlines;
 };
 
-// One mixed stream on two channels: Ambit ops of both arities, RowClone
-// FPM/PSM/memset, host and NDP executor tasks whose service times end
-// between DRAM cycles, host requests hitting an open row, a task
-// submitted from a completion callback, a refresh that must precharge
-// a host-opened row first, and work spread over more than four refresh
-// intervals.
-clock_run run_mixed_stream(clock_mode mode) {
+// One mixed stream, on two channels of two ranks unless told otherwise:
+// Ambit ops of both arities, RowClone FPM/PSM/memset, host and NDP
+// executor tasks whose service times end between DRAM cycles, host
+// requests hitting an open row, a task submitted from a completion
+// callback, a refresh that must precharge a host-opened row first, and
+// work spread over more than four refresh intervals.
+clock_run run_mixed_stream(clock_mode mode, int channels = 2, int ranks = 2) {
   core::pim_system_config cfg = small_config();
-  cfg.org.channels = 2;
-  cfg.org.ranks = 2;
+  cfg.org.channels = channels;
+  cfg.org.ranks = ranks;
   cfg.runtime.sched.ndp_slots = 2;
   core::pim_system sys(cfg);
   scheduler& sched = sys.runtime().sched();
@@ -812,6 +815,153 @@ TEST(EventClockTest, MatchesTickingEveryCycle) {
   EXPECT_GT(want.drains[0], 0);
   EXPECT_EQ(want.drains[1], 0);
   EXPECT_GT(want.stats.ticks, 0u);
+}
+
+void expect_same_run(const clock_run& want, const clock_run& got) {
+  ASSERT_EQ(want.reports.size(), got.reports.size());
+  for (std::size_t i = 0; i < want.reports.size(); ++i) {
+    expect_same_report(want.reports[i], got.reports[i]);
+  }
+  expect_same_stats(want.stats, got.stats);
+  EXPECT_EQ(want.counters, got.counters);
+  EXPECT_EQ(want.requests, got.requests);
+  EXPECT_EQ(want.drains, got.drains);
+  EXPECT_TRUE(want.rows == got.rows);
+  EXPECT_EQ(want.end_cycle, got.end_cycle);
+}
+
+// The same stream on one channel of one rank, a service shard's shape:
+// one controller carries every quiet run, and every refresh deadline
+// finds the rank's host rows and bulk sequences together.
+TEST(EventClockTest, MatchesTickingEveryCycleOnOneRank) {
+  const clock_run want = run_mixed_stream(clock_mode::every_cycle, 1, 1);
+  const clock_run got = run_mixed_stream(clock_mode::events, 1, 1);
+  expect_same_run(want, got);
+
+  EXPECT_GT(want.end_cycle, 4 * dram::ddr3_1600().trefi);
+  EXPECT_GE(want.counters.at("dram.ref"), 4u);
+  EXPECT_GT(want.counters.at("ctrl.row_hits"), 0u);
+  EXPECT_GT(want.counters.at("ctrl.row_conflicts"), 0u);
+  EXPECT_GT(want.counters.at("dram.tra"), 0u);
+  EXPECT_GT(want.counters.at("dram.bulk_rd"), 0u);
+  EXPECT_EQ(want.reports.size(), 8u + 6u * 5u + 2u);
+}
+
+// Refresh deadlines inside PSM column streams. Each round, a host read
+// leaves a row open in bank 0 of channel 0, rank 0, and two PSM copies
+// between four other banks of that rank start before its data burst
+// completes, so their RD/WR commands share the column bus; an NDP task
+// finishes and a refresh deadline falls while they stream, and the
+// shard-like slices of advance() end inside them. At the deadline the
+// open row's refresh PRE goes first, and the REF waits until the
+// copies release their banks.
+clock_run run_refresh_in_column_stream(clock_mode mode, int channels,
+                                       int ranks) {
+  core::pim_system_config cfg = small_config();
+  cfg.org.channels = channels;
+  cfg.org.ranks = ranks;
+  cfg.org.banks = 8;
+  cfg.org.columns = 16;
+  core::pim_system sys(cfg);
+  scheduler& sched = sys.runtime().sched();
+  dram::memory_system& mem = sys.memory();
+  const bool events = mode == clock_mode::events;
+  const cycles trefi = mem.timing().trefi;
+  clock_run run;
+  auto tick = [&] {
+    sched.tick();
+    if (mem.now_cycles() % trefi == 0) {
+      run.at_deadlines.emplace_back(mem.busy_banks(),
+                                    mem.counters().get("dram.bulk_rd"));
+    }
+  };
+  auto advance = [&](cycles n) {
+    if (events) return sched.advance(n);
+    for (cycles i = 0; i < n && !sched.idle(); ++i) tick();
+  };
+  auto wait = [&](const task_future& f) {
+    if (events) return sched.wait(f);
+    while (!f.ready()) tick();
+  };
+
+  std::vector<task_future> futures;
+  auto submit = [&](task_payload payload, backend_kind where,
+                    picoseconds service = 0) {
+    pim_task task;
+    task.payload = std::move(payload);
+    core::offload_decision d;
+    d.host_time = service;
+    d.pim_time = service;
+    futures.push_back(sched.submit(std::move(task), where, d));
+  };
+  const dram::subarray_layout layout(cfg.org);
+  auto row = [&](int bank, int sub) {
+    return dram::address{0, 0, bank, layout.data_row(sub, 1), 0};
+  };
+  const host_kernel_args kernel{core::kernel_profile{"k", 1'000, 4'096, 0.0}};
+  const picoseconds tck = mem.timing().tck_ps;
+  for (int round = 0; round < 4; ++round) {
+    const cycles deadline = (mem.now_cycles() / trefi + 1) * trefi;
+    const cycles lead = 90 + 61 * static_cast<cycles>(round);
+    // An NDP run carries the clock to `lead` cycles before it.
+    submit(kernel, backend_kind::ndp_logic,
+           static_cast<picoseconds>(deadline - lead - mem.now_cycles()) * tck);
+    wait(futures.back());
+    dram::request req;
+    req.kind = dram::request_kind::read;
+    req.addr = mem.mapper().linearize(row(0, round % 2));
+    req.on_complete = [&run, &mem](picoseconds t) {
+      run.requests.emplace_back(t, mem.now_cycles());
+    };
+    EXPECT_TRUE(mem.enqueue(std::move(req)));
+    advance(12);  // the read's ACT, then its RD a tRCD later
+    submit(row_copy_args{row(1, round), row(2, round), false},
+           backend_kind::rowclone);
+    submit(row_copy_args{row(3, round), row(4, round), false},
+           backend_kind::rowclone);
+    submit(kernel, backend_kind::ndp_logic,
+           (lead / 2 + 13 * static_cast<cycles>(round)) * tck + tck / 3);
+    while (!sched.idle()) advance(29);
+  }
+  // Past the last REF, which waited for the copies.
+  submit(kernel, backend_kind::ndp_logic, 1'000 * tck);
+  wait(futures.back());
+
+  for (const task_future& f : futures) run.reports.push_back(f.report());
+  run.stats = sched.stats();
+  run.counters = mem.counters().all();
+  run.end_cycle = mem.now_cycles();
+  return run;
+}
+
+TEST(EventClockTest, RefreshDeadlineInsideColumnStream) {
+  for (const auto& [channels, ranks] : {std::pair{1, 1}, std::pair{2, 2}}) {
+    SCOPED_TRACE(std::to_string(channels) + " channels x " +
+                 std::to_string(ranks) + " ranks");
+    const clock_run want =
+        run_refresh_in_column_stream(clock_mode::every_cycle, channels, ranks);
+    const clock_run got =
+        run_refresh_in_column_stream(clock_mode::events, channels, ranks);
+    expect_same_run(want, got);
+
+    auto count = [&want](const char* name) {
+      const auto it = want.counters.find(name);
+      return it == want.counters.end() ? 0u : it->second;
+    };
+    EXPECT_EQ(want.reports.size(), 4u * 4u + 1u);
+    EXPECT_EQ(want.requests.size(), 4u);
+    EXPECT_GE(count("dram.ref"), 4u);
+    EXPECT_GE(count("ctrl.refresh_pre"), 4u);
+    EXPECT_EQ(count("dram.bulk_rd"), 4u * 2u * 16u);
+    // Every deadline fell while both copies streamed their columns.
+    ASSERT_EQ(want.at_deadlines.size(), 4u);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const auto [busy, bulk_rd] = want.at_deadlines[r];
+      EXPECT_EQ(busy, 4u) << "round " << r;
+      EXPECT_GT(bulk_rd, r * 32u) << "round " << r;
+      EXPECT_LT(bulk_rd, r * 32u + 32u) << "round " << r;
+    }
+  }
 }
 
 }  // namespace
